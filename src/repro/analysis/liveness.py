@@ -21,12 +21,6 @@ class LivenessResult:
         self.block_live_in = block_live_in
         self.block_live_out = block_live_out
 
-    def is_live_before(self, iid: int, register: str) -> bool:
-        return register in self.live_in.get(iid, frozenset())
-
-    def is_live_after(self, iid: int, register: str) -> bool:
-        return register in self.live_out.get(iid, frozenset())
-
 
 def liveness(function: Function) -> LivenessResult:
     gen: Dict[str, Set] = {}

@@ -59,14 +59,6 @@ class LoopNestForest:
         result.sort(key=lambda lp: (lp.depth, lp.header))
         return result
 
-    def innermost_loop_of(self, block_label: str) -> Optional[Loop]:
-        best: Optional[Loop] = None
-        for loop in self.all_loops():
-            if loop.contains_block(block_label):
-                if best is None or loop.depth > best.depth:
-                    best = loop
-        return best
-
     def depth_by_block(self) -> Dict[str, int]:
         depth: Dict[str, int] = {b.label: 0 for b in self.function.blocks}
         for loop in self.all_loops():

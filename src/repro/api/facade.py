@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 # Re-exported pipeline surface (the facade's stability boundary).
-from ..machine.backend import BACKENDS, DEFAULT_BACKEND, validate_backend
+from ..machine.config import BACKENDS, DEFAULT_BACKEND, validate_backend
 from ..machine.config import TUNABLE_MACHINE_FIELDS
 from ..machine.placement import PLACERS
 from ..machine.topology import TOPOLOGIES, get_topology, topology_names

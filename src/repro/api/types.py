@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..machine.backend import BACKENDS, DEFAULT_BACKEND
+from ..machine.config import BACKENDS, DEFAULT_BACKEND
 from ..pipeline.fingerprint import SCHEMA_VERSION as PIPELINE_SCHEMA
 from ..pipeline.fingerprint import digest
 from ..pipeline.matrix import MatrixCell, Overrides, validate_overrides
@@ -340,10 +340,9 @@ class EvaluateRequest:
         """Deterministic idempotency key: a digest over the pipeline
         schema, the API schema, and every cell-identifying field.  Two
         requests for the same work always collide; any bump of either
-        schema invalidates memoized responses.  ``backend`` is *not*
-        part of the key — backends are bit-identical, so a memoized
-        reference response answers a fast request and vice versa (and
-        keys stay byte-compatible with pre-backend clients)."""
+        schema invalidates memoized responses.  The deprecated,
+        ignored ``backend`` is *not* part of the key (keys stay
+        byte-compatible with pre-backend clients)."""
         cell = self.cell()
         return digest("api:evaluate", PIPELINE_SCHEMA, API_SCHEMA_VERSION,
                       repr(cell.identity()), repr(self.check),
@@ -441,8 +440,8 @@ class TuneRequest:
 
     ``knobs`` optionally restricts the search to a subset of the knob
     space (empty = every knob of :data:`repro.tune.space.DEFAULT_SPACE`).
-    ``backend`` is excluded from :meth:`request_key` — like evaluation
-    requests, tuning over bit-identical backends is the same work.
+    ``backend`` is deprecated and ignored, and excluded from
+    :meth:`request_key`.
     """
 
     workloads: Tuple[str, ...] = ()
@@ -537,8 +536,8 @@ class TuneRequest:
     def request_key(self) -> str:
         """Deterministic key over everything that shapes the search
         outcome: schemas, workloads, strategy, budget, seed, threads,
-        scale, and the knob subset — but not ``backend`` (backends are
-        bit-identical) and not ``--jobs`` (results are pool-invariant).
+        scale, and the knob subset — but not the ignored ``backend`` and
+        not ``--jobs`` (results are pool-invariant).
         The per-candidate artifact-cache memo keys derive from this
         plus each candidate's :meth:`EvaluateRequest.request_key`."""
         return digest("api:tune", TUNE_SCHEMA_VERSION, PIPELINE_SCHEMA,

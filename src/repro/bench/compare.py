@@ -9,7 +9,9 @@ Statuses:
   missing from the current run;
 * ``info`` — tolerance ``None``: diffed for the record, never gates;
 * ``new`` — present now but absent from the baseline: never gates
-  (commit a refreshed baseline to start tracking it).
+  (commit a refreshed baseline to start tracking it);
+* ``unbaselined`` — a metric of a spec the baseline has no entry for
+  at all: gates, so a registered spec can never run unchecked.
 
 The rendered markdown table names every offending metric — it is what
 CI writes to ``$GITHUB_STEP_SUMMARY``.
@@ -31,8 +33,9 @@ REGRESSION = "regression"
 MISSING = "missing"          # rendered as a regression
 INFO = "info"
 NEW = "new"
+UNBASELINED = "unbaselined"  # rendered as a regression
 
-_GATING = (REGRESSION, MISSING)
+_GATING = (REGRESSION, MISSING, UNBASELINED)
 
 
 @dataclass
@@ -110,7 +113,8 @@ class Comparison:
     def summary(self) -> str:
         counts = self.counts()
         parts = ["%d %s" % (counts[status], status)
-                 for status in (SAME, OK, REGRESSION, MISSING, INFO, NEW)
+                 for status in (SAME, OK, REGRESSION, MISSING,
+                                UNBASELINED, INFO, NEW)
                  if counts.get(status)]
         verdict = ("OK" if self.ok
                    else "REGRESSION (%d metrics)" % len(self.regressions))
@@ -143,6 +147,7 @@ class Comparison:
 
 def _badge(status: str) -> str:
     return {REGRESSION: "❌ regression", MISSING: "❌ missing",
+            UNBASELINED: "❌ no baseline",
             INFO: "ℹ️ info", NEW: "🆕 new", SAME: "✅ same",
             OK: "✅ ok"}.get(status, status)
 
@@ -207,7 +212,8 @@ def compare(baseline: BenchResults, current: BenchResults,
                                           current_metric,
                                           host_strict=host_strict))
     for (spec_id, name), metric in sorted(current_index.items()):
-        deltas.append(MetricDelta(spec_id, name, NEW, None, metric.value,
-                                  unit=metric.unit,
+        status = NEW if spec_id in baseline.specs else UNBASELINED
+        deltas.append(MetricDelta(spec_id, name, status, None,
+                                  metric.value, unit=metric.unit,
                                   tolerance=metric.tolerance))
     return Comparison(baseline.mode, current.mode, deltas)

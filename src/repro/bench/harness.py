@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence
 
-from ..api import (DEFAULT_BACKEND, Evaluation, MatrixCell,
-                   evaluate_matrix, evaluate_workload, get_workload,
-                   validate_backend)
+from ..api import (Evaluation, MatrixCell, evaluate_matrix,
+                   evaluate_workload, get_workload)
 from ..stats import relative_communication as _relative_communication
 
 # Benchmark display order (the papers' figure order).
@@ -24,26 +23,6 @@ BENCH_ORDER = ["adpcmdec", "adpcmenc", "ks", "mpeg2enc", "177.mesa",
                "435.gromacs", "458.sjeng"]
 
 _MEMO: Dict[MatrixCell, Evaluation] = {}
-
-# Simulator backend the specs evaluate under.  Specs call evaluation()
-# without naming one, so the bench runner sets this for the whole
-# session (set_backend) and every memo key carries it — reference and
-# fast timings never alias when both run in one process.
-_ACTIVE_BACKEND = DEFAULT_BACKEND
-
-
-def set_backend(backend: str) -> str:
-    """Select the simulator backend for subsequent harness evaluations;
-    returns the previous selection so callers can restore it."""
-    global _ACTIVE_BACKEND
-    validate_backend(backend)
-    previous = _ACTIVE_BACKEND
-    _ACTIVE_BACKEND = backend
-    return previous
-
-
-def active_backend() -> str:
-    return _ACTIVE_BACKEND
 
 
 def clear_memo() -> None:
@@ -57,13 +36,12 @@ def evaluation(name: str, technique: str, coco: bool = False,
                placer: str = "identity") -> Evaluation:
     """The memoized full-methodology evaluation of one matrix cell."""
     cell = MatrixCell(name, technique, coco, n_threads, scale,
-                      alias_mode, topology=topology, placer=placer,
-                      backend=_ACTIVE_BACKEND)
+                      alias_mode, topology=topology, placer=placer)
     if cell not in _MEMO:
         _MEMO[cell] = evaluate_workload(
             get_workload(name), technique=technique, coco=coco,
             n_threads=n_threads, scale=scale, alias_mode=alias_mode,
-            topology=topology, placer=placer, backend=_ACTIVE_BACKEND)
+            topology=topology, placer=placer)
     return _MEMO[cell]
 
 
@@ -88,9 +66,6 @@ def prewarm(cells: Iterable[MatrixCell] = (),
                  for technique in techniques
                  for use_coco in coco
                  for threads in n_threads]
-    # Normalize onto the session backend so prewarmed keys match the
-    # evaluation() calls the spec collectors make afterwards.
-    cells = [cell._replace(backend=_ACTIVE_BACKEND) for cell in cells]
     todo = [cell for cell in cells if cell not in _MEMO]
     for cell, result in zip(todo, evaluate_matrix(todo, jobs=jobs)):
         _MEMO[cell] = result

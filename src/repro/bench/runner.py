@@ -14,9 +14,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, List, Optional
 
-from ..api import (DEFAULT_BACKEND, MatrixCell, get_cache,
-                   global_telemetry, reset_global_telemetry)
-from .harness import prewarm, set_backend
+from ..api import (MatrixCell, get_cache, global_telemetry,
+                   reset_global_telemetry)
+from .harness import prewarm
 from .results import BenchResults, SpecResult
 from .spec import BenchMode, BenchSpec, all_specs, get_spec
 
@@ -32,47 +32,38 @@ def select_specs(spec_ids: Optional[Iterable[str]] = None
 
 def run_bench(mode: BenchMode, jobs: int = 1,
               spec_ids: Optional[Iterable[str]] = None,
-              backend: str = DEFAULT_BACKEND,
               progress: ProgressFn = None) -> BenchResults:
     """Execute the selected specs under ``mode`` and return the
-    machine-readable results document.  ``backend`` selects the
-    simulator for the whole session; paper metrics are bit-identical
-    across backends, only the host timings move."""
+    machine-readable results document."""
     specs = select_specs(spec_ids)
     telemetry = reset_global_telemetry()
     cache = get_cache()
     cache.stats.reset()
-    host = BenchResults.host_info()
-    host["backend"] = backend
-    results = BenchResults(mode=mode.name, host=host)
+    results = BenchResults(mode=mode.name, host=BenchResults.host_info())
     started = time.perf_counter()
 
-    previous_backend = set_backend(backend)
-    try:
-        cells: List[MatrixCell] = []
-        seen = set()
-        for spec in specs:
-            for cell in spec.prewarm_cells(mode):
-                if cell not in seen:
-                    seen.add(cell)
-                    cells.append(cell)
-        if cells:
-            if progress:
-                progress("prewarming %d evaluation cells (jobs=%d, "
-                         "backend=%s)" % (len(cells), jobs, backend))
-            prewarm(cells=cells, jobs=jobs)
+    cells: List[MatrixCell] = []
+    seen = set()
+    for spec in specs:
+        for cell in spec.prewarm_cells(mode):
+            if cell not in seen:
+                seen.add(cell)
+                cells.append(cell)
+    if cells:
+        if progress:
+            progress("prewarming %d evaluation cells (jobs=%d)"
+                     % (len(cells), jobs))
+        prewarm(cells=cells, jobs=jobs)
 
-        for spec in specs:
-            if progress:
-                progress("collecting %s" % spec.id)
-            spec_started = time.perf_counter()
-            metrics = spec.collect(mode)
-            results.specs[spec.id] = SpecResult(
-                spec_id=spec.id, title=spec.title,
-                seconds=time.perf_counter() - spec_started,
-                metrics=metrics)
-    finally:
-        set_backend(previous_backend)
+    for spec in specs:
+        if progress:
+            progress("collecting %s" % spec.id)
+        spec_started = time.perf_counter()
+        metrics = spec.collect(mode)
+        results.specs[spec.id] = SpecResult(
+            spec_id=spec.id, title=spec.title,
+            seconds=time.perf_counter() - spec_started,
+            metrics=metrics)
 
     results.total_seconds = time.perf_counter() - started
     results.telemetry = global_telemetry()

@@ -18,7 +18,11 @@ the test suite into reusable, CLI-driven infrastructure:
   tests; hypothesis strategies in :mod:`repro.check.strategies`);
 * :mod:`repro.check.fuzz` — the resumable fuzzing loop behind
   ``python -m repro fuzz``, with greedy shrinking and a persistent
-  failure corpus.
+  failure corpus;
+* :mod:`repro.check.reference_timing` — the readable reference timing
+  model, the oracle :mod:`repro.check.differential_backend` holds the
+  product simulator (:mod:`repro.machine.fast_timing`) to, results and
+  trace events alike.
 
 See ``docs/correctness.md`` for the invariants and workflow.
 """

@@ -1,46 +1,50 @@
-"""Differential backend-equivalence checker.
+"""Differential equivalence checker: the simulator against its oracle.
 
-The fast simulator backend (:mod:`repro.machine.fast_timing`) promises
-**bit-identical** results to the reference (:mod:`repro.machine.timing`)
-— not "close", identical: every cycle count, every per-core stall
-attribution, every queue timestamp, every live-out, down to the int/
-float type of each number (the reference mixes both deliberately, and a
-``1635`` silently becoming ``1635.0`` would change downstream repr-based
-fingerprints).  This module is the executable form of that contract:
+The product simulator (:mod:`repro.machine.fast_timing`) promises
+**bit-identical** results to the reference model kept as its oracle
+(:mod:`repro.check.reference_timing`) — not "close", identical: every
+cycle count, every per-core stall attribution, every queue timestamp,
+every live-out, down to the int/float type of each number (the model
+mixes both deliberately, and a ``1635`` silently becoming ``1635.0``
+would change downstream repr-based fingerprints).  With a tracer
+attached, the trace event streams must be identical too.  This module
+is the executable form of that contract:
 
 * :func:`snapshot_result` flattens a
   :class:`~repro.machine.timing.TimedResult` into a JSON-able tree
   whose leaves are ``[type_name, repr]`` pairs — equality of snapshots
-  is bit-equality of results;
+  is bit-equality of results; :func:`snapshot_trace` does the same for
+  everything a :class:`~repro.trace.TraceCollector` received;
 * :func:`diff_snapshots` returns path-labelled differences
   (``cycles: ('int', '1635') != ('float', '1635.0')``);
 * :func:`run_workload_case` / :func:`run_fuzz_case` execute one
   comparison — a registry workload under a (technique, topology,
   trace) configuration, or a seeded random program from
-  :mod:`repro.check.generate` — on **both** backends and report the
-  divergences plus per-backend host seconds;
+  :mod:`repro.check.generate` — on **both** implementations and report
+  the divergences plus per-implementation host seconds;
 * :func:`run_differential` sweeps the whole grid (all workloads x
   topology presets x partitioners x trace on/off, plus N fuzz seeds)
   and aggregates a machine-readable report —
   ``tools/check_backend_equivalence.py`` turns it into the CI
   ``backend-equivalence`` job and uploads the report on failure.
-
-Traced cases lock down the delegation contract (a tracer forces the
-reference implementation, so event streams are trivially identical —
-but a regression that breaks the delegation would surface here first).
 """
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..machine.backend import simulate_program_fn, simulate_single_fn
+from .. import machine
+from ..machine.placement import make_placement
 from ..mtcg.codegen import generate
 from ..pipeline.core import parallelize
 from ..pipeline.stages import normalize
+from ..trace import (DEFAULT_EVENT_LIMIT, TraceCollector, analyze,
+                     stall_report_json)
 from ..workloads import all_workloads, get_workload
+from . import reference_timing
 from .generate import random_args, random_partition, random_sketch, \
     render_program
 
@@ -52,6 +56,22 @@ DEFAULT_TECHNIQUES = ("gremio", "dswp")
 
 #: Cores per preset: quad-2x2 fits 4 threads, the rest 2.
 _TOPOLOGY_THREADS = {None: 2, "paper-dual": 2, "quad-2x2": 4}
+
+#: Traced cases added per workload when tracing is compared:
+#: (technique, topology preset, threads, placer), each with COCO off
+#: and on — flat and clustered SA ports, affinity placement, and
+#: inter-cluster crossings all feed the trace's stall components.
+TRACED_CASES = (("gremio", "paper-dual", 2, "identity"),
+                ("dswp", "quad-2x2", 4, "affinity"),
+                ("gremio", "octa-hier", 4, "identity"))
+
+#: Event-ring size of the truncation case: small enough that every
+#: workload evicts events, so the ``dropped`` counts are compared.
+TRUNCATED_TRACE_LIMIT = 64
+
+#: The two implementations a comparison runs: the oracle (reported as
+#: "reference") first, then the product simulator (reported as "fast").
+IMPLEMENTATIONS = (reference_timing, machine)
 
 
 def _typed(value):
@@ -98,15 +118,23 @@ def snapshot_result(result) -> Dict[str, object]:
 
 
 def snapshot_trace(collector) -> Dict[str, object]:
-    """The observable surface of a TraceCollector: the full event
-    stream plus the aggregate tables the reports are built from."""
+    """Everything a finished TraceCollector received, byte for byte:
+    each event as the JSON it exports to (key order and int/float types
+    included), the queue-depth samples, what each ring dropped, the
+    ``on_topology`` cluster map, the ``on_finish`` arguments, and the
+    :func:`~repro.trace.analyze` report built from them."""
     return _typed({
-        "events": [event.as_dict() for event in collector.events],
+        "events": [json.dumps(event.as_dict())
+                   for event in collector.events],
         "dropped": collector.events.dropped,
-        "core_table": collector.core_table(),
-        "class_table": collector.class_table(),
-        "stall_totals": collector.stall_totals(),
-        "total_cycles": collector.total_cycles,
+        "queue_samples": [(sample.queue, sample.cycle, sample.depth)
+                          for sample in collector.queue_samples],
+        "queue_samples_dropped": collector.queue_samples.dropped,
+        "cluster_of": collector.cluster_of,
+        "core_finish": collector.core_finish,
+        "cache_stats": collector.cache_stats,
+        "comm_stats": collector.comm_stats,
+        "report": stall_report_json(analyze(collector)),
     })
 
 
@@ -144,7 +172,8 @@ def _is_leaf(value) -> bool:
 
 class CaseResult:
     """One executed comparison: a label, the divergences (empty =
-    bit-identical), and the per-backend host seconds."""
+    bit-identical), and the host seconds of the oracle ("reference")
+    and of the product simulator ("fast")."""
 
     def __init__(self, label: str, divergences: List[str],
                  reference_seconds: float, fast_seconds: float):
@@ -170,9 +199,9 @@ class CaseResult:
 
 
 def _capture(run, snapshot) -> Dict[str, object]:
-    """Run one backend; an exception is an observable too — both
-    backends must raise the same type with the same message (fuzz
-    programs trap by design: division by zero, undefined registers)."""
+    """Run one implementation; an exception is an observable too — both
+    must raise the same type with the same message (fuzz programs trap
+    by design: division by zero, undefined registers)."""
     try:
         return {"result": snapshot(run())}
     except Exception as error:
@@ -180,13 +209,22 @@ def _capture(run, snapshot) -> Dict[str, object]:
 
 
 def _compare(label: str, run_reference, run_fast,
-             snapshot=snapshot_result) -> CaseResult:
+             snapshot=snapshot_result, may_raise: bool = False
+             ) -> CaseResult:
+    """Run both sides and diff them.  Unless ``may_raise`` (random
+    programs trap by design), an exception is a failure even when both
+    sides raise it: registry workloads always run to completion."""
     started = time.perf_counter()
     reference = _capture(run_reference, snapshot)
     mid = time.perf_counter()
     fast = _capture(run_fast, snapshot)
     done = time.perf_counter()
     divergences = diff_snapshots(reference, fast)
+    if not may_raise:
+        divergences += ["%s raised %s" % (side, capture["error"])
+                        for side, capture in (("reference", reference),
+                                              ("fast", fast))
+                        if "error" in capture]
     return CaseResult(label, divergences, mid - started, done - mid)
 
 
@@ -195,61 +233,69 @@ def run_workload_case(workload_name: str,
                       topology: Optional[str] = None,
                       n_threads: int = 2,
                       scale: str = "train",
-                      trace: bool = False) -> CaseResult:
-    """Compare both backends on one registry workload.
+                      trace: bool = False,
+                      placer: str = "identity",
+                      coco: bool = False,
+                      trace_limit: Optional[int] = None) -> CaseResult:
+    """Compare the oracle and the simulator on one registry workload.
 
     ``technique=None`` runs the single-threaded simulator; otherwise the
-    workload is parallelized once (the build side is backend-agnostic)
-    and the resulting MT program timed by both backends.  ``trace=True``
-    attaches an independent TraceCollector to each backend run and
-    compares the event streams too.
+    workload is parallelized once (``placer`` places the threads,
+    ``coco`` runs the communication optimizer) and the resulting MT
+    program timed by both.  ``trace=True`` attaches an independent
+    TraceCollector (ring size ``trace_limit``) to each run and compares
+    everything it received too.
     """
     workload = get_workload(workload_name)
     inputs = workload.make_inputs(scale)
-    label = "%s/%s/%s/%dT%s" % (workload_name, technique or "st",
-                                topology or "flat", n_threads,
-                                "/trace" if trace else "")
+    label = "%s/%s/%s/%dT%s%s%s%s" % (
+        workload_name, technique or "st", topology or "flat", n_threads,
+        "" if placer == "identity" else "/" + placer,
+        "/coco" if coco else "", "/trace" if trace else "",
+        "" if trace_limit is None else "-%d" % trace_limit)
     if technique is None:
-        def run(backend):
-            def go():
-                return simulate_single_fn(backend)(
-                    workload.build(), inputs.args, inputs.memory)
-            return go
-        return _compare(label, run("reference"), run("fast"))
+        return _compare(label, *(
+            _runner(impl.simulate_single, workload.build(), inputs.args,
+                    inputs.memory)
+            for impl in IMPLEMENTATIONS))
 
     train = workload.make_inputs("train")
     built = parallelize(workload.build(), technique=technique,
                         n_threads=n_threads, profile_args=train.args,
                         profile_memory=train.memory, cache=False,
-                        topology=topology)
-    if trace:
-        from ..trace import TraceCollector
+                        topology=topology, coco=coco)
+    placement = make_placement(placer, n_threads,
+                               built.config.resolve_topology(),
+                               pdg=built.pdg, partition=built.partition,
+                               profile=built.profile)
+    runs = [_runner(impl.simulate_program, built.program, inputs.args,
+                    inputs.memory, config=built.config,
+                    placement=placement, trace=trace,
+                    trace_limit=trace_limit)
+            for impl in IMPLEMENTATIONS]
+    return _compare(label, *runs,
+                    snapshot=snapshot_trace if trace else snapshot_result)
 
-        def run_traced(backend):
-            def go():
-                collector = TraceCollector()
-                simulate_program_fn(backend)(
-                    built.program, inputs.args, inputs.memory,
-                    config=built.config, tracer=collector)
-                return collector
-            return go
-        return _compare(label, run_traced("reference"),
-                        run_traced("fast"), snapshot=snapshot_trace)
 
-    def run(backend):
-        def go():
-            return simulate_program_fn(backend)(
-                built.program, inputs.args, inputs.memory,
-                config=built.config)
-        return go
-    return _compare(label, run("reference"), run("fast"))
+def _runner(simulate, *args, trace: bool = False,
+            trace_limit: Optional[int] = None, **kwargs):
+    """A thunk running one implementation.  A traced run returns its
+    collector, whose ``on_finish`` arguments carry the run's finish
+    times and statistics."""
+    def go():
+        if not trace:
+            return simulate(*args, **kwargs)
+        collector = TraceCollector(limit=trace_limit or DEFAULT_EVENT_LIMIT)
+        simulate(*args, tracer=collector, **kwargs)
+        return collector
+    return go
 
 
 def run_fuzz_case(seed: int, depth: int = 2,
                   max_threads: int = 3) -> CaseResult:
-    """Compare both backends on one seeded random program: the
-    single-threaded run, plus an MTCG program built from a random
-    partition of the same function (the adversarial shapes the
+    """Compare the oracle and the simulator on one seeded random
+    program: the single-threaded run, plus an MTCG program built from a
+    random partition of the same function (the adversarial shapes the
     workload registry never produces)."""
     rng = random.Random(seed)
     sketch = random_sketch(rng, depth=depth)
@@ -258,26 +304,18 @@ def run_fuzz_case(seed: int, depth: int = 2,
 
     function = render_program(sketch)
     normalize(function)
-
-    def run_st(backend):
-        def go():
-            return simulate_single_fn(backend)(function, args)
-        return go
-    st = _compare("fuzz-%d/st" % seed, run_st("reference"),
-                  run_st("fast"))
+    st = _compare("fuzz-%d/st" % seed, *(
+        _runner(impl.simulate_single, function, args)
+        for impl in IMPLEMENTATIONS), may_raise=True)
 
     from ..analysis.pdg import build_pdg
     pdg = build_pdg(function)
     partition = random_partition(random.Random(seed * 7919 + 13),
                                  function, n_threads=n_threads)
     program = generate(function, pdg, partition)
-
-    def run_mt(backend):
-        def go():
-            return simulate_program_fn(backend)(program, args)
-        return go
-    mt = _compare("fuzz-%d/random-%dT" % (seed, n_threads),
-                  run_mt("reference"), run_mt("fast"))
+    mt = _compare("fuzz-%d/random-%dT" % (seed, n_threads), *(
+        _runner(impl.simulate_program, program, args)
+        for impl in IMPLEMENTATIONS), may_raise=True)
 
     return CaseResult(
         "fuzz-%d" % seed, st.divergences + mt.divergences,
@@ -339,11 +377,19 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
     """Sweep the full equivalence grid and aggregate the report.
 
     Every (workload x topology x technique x trace) cell plus the
-    single-threaded run per workload, then one :func:`run_fuzz_case`
-    per seed.  Any divergence makes ``report.ok`` false; nothing short-
-    circuits, so the report always carries the complete failure list.
+    single-threaded run per workload; with tracing, also the
+    :data:`TRACED_CASES` (COCO off and on) and one truncated-ring run
+    per workload; then one :func:`run_fuzz_case` per seed.  Any
+    divergence makes ``report.ok`` false; nothing short-circuits, so
+    the report always carries the complete failure list.
     """
     report = DifferentialReport()
+
+    def add(case: CaseResult) -> None:
+        report.add(case)
+        if progress:
+            progress("%s: %s" % (case.label, "ok" if case.ok else "FAIL"))
+
     names = list(workloads) if workloads is not None \
         else [workload.name for workload in all_workloads()]
     for name in names:
@@ -352,17 +398,20 @@ def run_differential(workloads: Optional[Iterable[str]] = None,
             n_threads = _TOPOLOGY_THREADS.get(topology, 2)
             for technique in techniques:
                 for trace in trace_modes:
-                    case = run_workload_case(
+                    add(run_workload_case(
                         name, technique=technique, topology=topology,
-                        n_threads=n_threads, scale=scale, trace=trace)
-                    report.add(case)
-                    if progress:
-                        progress("%s: %s" % (case.label,
-                                             "ok" if case.ok else "FAIL"))
+                        n_threads=n_threads, scale=scale, trace=trace))
+        if True not in trace_modes:
+            continue
+        for technique, topology, n_threads, placer in TRACED_CASES:
+            for coco in (False, True):
+                add(run_workload_case(
+                    name, technique=technique, topology=topology,
+                    n_threads=n_threads, scale=scale, trace=True,
+                    placer=placer, coco=coco))
+        add(run_workload_case(name, technique="gremio", scale=scale,
+                              trace=True,
+                              trace_limit=TRUNCATED_TRACE_LIMIT))
     for seed in fuzz_seeds:
-        case = run_fuzz_case(seed)
-        report.add(case)
-        if progress:
-            progress("%s: %s" % (case.label,
-                                 "ok" if case.ok else "FAIL"))
+        add(run_fuzz_case(seed))
     return report

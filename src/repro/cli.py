@@ -52,6 +52,7 @@ Everything here consumes the pipeline through the stable
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -104,15 +105,13 @@ def _program_parent() -> argparse.ArgumentParser:
 
 def _backend_parent() -> argparse.ArgumentParser:
     """``--backend``, declared once for every simulating command
-    (run/sweep/bench/trace/serve).  Backends are bit-identical (see
-    docs/performance.md); the flag trades host wall time only."""
+    (run/sweep/bench/trace/serve/tune).  Deprecated: there is one
+    simulator, so the value is validated and otherwise ignored."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--backend", default=DEFAULT_BACKEND,
                         choices=BACKENDS,
-                        help="simulator implementation: the line-for-line "
-                             "reference, or the batched-dispatch fast "
-                             "backend (bit-identical results; "
-                             "default: %(default)s)")
+                        help="deprecated and ignored (there is one "
+                             "simulator); accepted for one release")
     return parent
 
 
@@ -458,7 +457,7 @@ def _run_one(args) -> int:
                            scale=args.scale, alias_mode=args.alias_mode,
                            local_schedule=args.schedule,
                            mt_check=args.check, topology=args.topology,
-                           placer=args.placer, backend=args.backend)
+                           placer=args.placer)
     rows = [
         ("single-threaded cycles", "%.0f" % ev.st_result.cycles),
         ("multi-threaded cycles", "%.0f" % ev.mt_result.cycles),
@@ -513,8 +512,7 @@ def _trace(args) -> int:
                            n_threads=args.threads, coco=args.coco,
                            scale=args.scale, trace=True,
                            trace_limit=args.limit,
-                           topology=args.topology, placer=args.placer,
-                           backend=args.backend)
+                           topology=args.topology, placer=args.placer)
     analysis = ev.trace
     write_chrome_trace(args.out, analysis.collector)
     print("wrote %s (%d events, %d dropped; %.0f simulated cycles)"
@@ -550,7 +548,7 @@ def _sweep(args) -> int:
                         scale=args.scale, alias_mode=args.alias_mode,
                         local_schedule=args.schedule,
                         mt_check=args.check, topology=args.topology,
-                        placer=args.placer, backend=args.backend)
+                        placer=args.placer)
     evaluations = evaluate_matrix(cells, jobs=args.jobs)
     rows = []
     speedups = {technique: [] for technique in techniques}
@@ -686,7 +684,6 @@ def _bench(args) -> int:
 
     mode = MODES["full" if args.full else "smoke"]
     results = run_bench(mode, jobs=args.jobs, spec_ids=args.spec,
-                        backend=args.backend,
                         progress=lambda line: print("bench: " + line))
     results.save(args.out)
     print("bench: %d specs, %d metrics -> %s (%.1fs, mode=%s)"
@@ -728,6 +725,10 @@ def _bench(args) -> int:
     return 0 if comparison.ok else 1
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def _serve(args) -> int:
     from .service import ServiceConfig, ServiceDaemon
     config = ServiceConfig(host=args.host, port=args.port,
@@ -746,6 +747,9 @@ def _serve(args) -> int:
     except ValueError as error:
         print("repro serve: %s" % error, file=sys.stderr)
         return 2
+    # SIGTERM (``kill``, container stop) shuts down like Ctrl-C, so
+    # close() stops the worker pool instead of orphaning it.
+    signal.signal(signal.SIGTERM, _interrupt)
     if config.role == "coordinator":
         from .cluster import CoordinatorDaemon
         node = CoordinatorDaemon(config)

@@ -306,7 +306,11 @@ class CoordinatorDaemon:
         if self._closed:
             return
         self._closed = True
-        self.server.shutdown()
+        if self._thread is not None:
+            # Only a background loop needs stopping: serve_forever()
+            # on the calling thread has returned by now (and shutdown()
+            # would wait forever on a loop that never started).
+            self.server.shutdown()
         self.server.server_close()
         if self._thread is not None:
             self._thread.join(2.0)

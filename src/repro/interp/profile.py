@@ -44,9 +44,6 @@ class EdgeProfile:
     def edge_weight(self, source: str, target: str) -> float:
         return self.edge_counts.get((source, target), 0.0)
 
-    def total_blocks_executed(self) -> float:
-        return sum(self.block_counts.values())
-
     def scaled(self, factor: float) -> "EdgeProfile":
         clone = EdgeProfile(self.function)
         for label, count in self.block_counts.items():

@@ -237,12 +237,6 @@ class Instruction:
                            self.labels, self.queue, self.iid, self.region,
                            self.origin)
 
-    def retargeted(self, labels: Sequence[str]) -> "Instruction":
-        """Copy with branch/jump targets replaced."""
-        clone = self.copy()
-        clone.labels = tuple(labels)
-        return clone
-
     # -- rendering ------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

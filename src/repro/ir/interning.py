@@ -150,7 +150,3 @@ def intern_program(program) -> object:
         intern_function(thread)
     return program
 
-
-def intern_table_size() -> int:
-    """Live distinct instructions (diagnostic; used by tests)."""
-    return len(_TABLE)

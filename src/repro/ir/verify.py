@@ -9,7 +9,7 @@ definitions).  MTCG output is verified with ``allow_comm=True``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from .cfg import Function
 from .instructions import Opcode
@@ -136,11 +136,3 @@ def _verify_defined_before_use(function: Function) -> None:
                         "definition may reach it" % (register, block.label))
             current.update(instruction.defined_registers())
 
-
-def find_undefined_liveouts(function: Function) -> List[str]:
-    """Return declared live-out registers never defined anywhere."""
-    defined: Set[str] = set(function.params)
-    for instruction in function.instructions():
-        defined.update(instruction.defined_registers())
-    return [register for register in function.live_outs
-            if register not in defined]

@@ -1,5 +1,5 @@
 """The CMP machine model: topology, placement, functional MT simulation,
-and the timing model."""
+and the timing simulator (:mod:`repro.machine.fast_timing`)."""
 
 from .cache import CacheLevel, MemoryHierarchy
 from .config import DEFAULT_CONFIG, CacheConfig, MachineConfig, config_table
@@ -8,8 +8,8 @@ from .functional import (DeadlockError, FifoQueues, MTExecutionLimitExceeded,
 from .placement import (PLACERS, Placement, PlacementError,
                         affinity_placement, identity_placement,
                         make_placement, thread_affinity)
-from .timing import (TimedResult, queue_crossing_penalties, simulate_program,
-                     simulate_single, simulate_threads)
+from .fast_timing import simulate_program, simulate_single, simulate_threads
+from .timing import TimedResult, queue_crossing_penalties
 from .topology import (TOPOLOGIES, Topology, TopologyError, get_topology,
                        topology_names)
 

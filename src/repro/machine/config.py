@@ -223,3 +223,21 @@ def config_table(config: MachineConfig = DEFAULT_CONFIG) -> str:
     width = max(len(label) for label, _ in rows)
     return "\n".join("%-*s | %s" % (width, label, text)
                      for label, text in rows)
+
+
+#: Simulator names the ``backend`` parameters still accept (``--backend``,
+#: ``MatrixCell``/``EvaluateRequest``/``TuneRequest``/``ServiceConfig``
+#: ``.backend``).  There is one simulator
+#: (:mod:`repro.machine.fast_timing`): the value is validated, kept out
+#: of request keys, and otherwise ignored.  Deprecated; removed in the
+#: next release.
+BACKENDS = ("reference", "fast")
+DEFAULT_BACKEND = "reference"
+
+
+def validate_backend(name: str) -> str:
+    """Return ``name`` if it is an accepted backend name, else raise."""
+    if name not in BACKENDS:
+        raise ValueError("unknown backend %r (expected one of %s)"
+                         % (name, ", ".join(BACKENDS)))
+    return name

@@ -1,38 +1,35 @@
-"""Batched-dispatch fast backend of the timing simulator.
+"""The timing simulator: a fused functional+timing interpreter.
 
-This module re-implements :func:`repro.machine.timing.simulate_threads`
-as a *fused* functional+timing interpreter over precompiled dispatch
-records.  The reference simulator pays, per dynamic instruction, for a
-``ThreadContext.step()`` (operand list allocation, ``StepResult``
-allocation, an opcode ``is``-chain) plus a second dispatch in
-``_time_plain_instruction`` (a ``SIGNATURES`` lookup per ``kind`` read,
-``Counter`` port accounting, several method calls).  The fast backend
-compiles each thread's CFG once into flat per-block record tuples —
+Each thread's CFG is compiled once into flat per-block record tuples —
 integer op-class codes, pre-resolved branch targets, pre-computed port
-indices/limits/latencies, pre-bound value-semantics callables — and runs
-one loop that executes and times each instruction directly against
-array-backed core state.
+indices/limits/latencies, pre-bound value-semantics callables — and one
+loop executes and times each instruction directly against array-backed
+core state.  Every caller (the ``simulate-st``/``simulate-mt`` pipeline
+stages, the bench specs, ``repro run``/``sweep``/``trace``/``serve``)
+runs this module.
 
-Equivalence contract: the results are **bit-identical** to the reference
-backend — cycles, per-core finish times, stall attribution, cache and
-queue statistics, memory, live-outs, even the ``int`` vs ``float``
-types the reference's mixed arithmetic produces (cached artifacts are
-shared across backends, so object equality must survive pickling).
-Every timing expression below mirrors the corresponding line of
-``timing.py``; when editing one, edit both.  The differential harness
+Contract: the results are **bit-identical** to the readable
+event-driven model kept as the oracle in
+:mod:`repro.check.reference_timing` — cycles, per-core finish times,
+stall attribution, cache and queue statistics, memory, live-outs, even
+the ``int`` vs ``float`` types the model's mixed arithmetic produces
+(cached artifacts are pickled, so object equality must survive
+pickling).  With a tracer attached, the trace events are identical too.
+Every timing expression below mirrors a line of the oracle; when
+editing one, edit both.  The differential harness
 (:mod:`repro.check.differential_backend`,
 ``tests/test_backend_equivalence.py``) locks this down.
 
 Shared state (the per-cluster :class:`SAPortSchedule` bookings, the
 :class:`TimedQueues` timestamps, the :class:`MemoryHierarchy` LRU sets)
-reuses the reference classes outright: their behaviour is
-interleaving-sensitive, so sharing the implementation removes a whole
-class of divergence.
+lives in :mod:`repro.machine.timing` and :mod:`repro.machine.cache`:
+its behaviour is interleaving-sensitive, so sharing the implementation
+with the oracle removes a whole class of divergence.
 
-Tracing is *not* reimplemented: with a tracer attached the fast entry
-points delegate to the reference simulator (documented in
-``docs/performance.md``), so traced runs cost reference speed but stay
-exactly reconciled.
+Tracing is a separate loop over the same records (:func:`_run_traced`):
+it feeds the tracer's ``on_event``/``on_queue_depth`` hooks with the
+stall components and dependence edges of each issued instruction, so
+the untraced loop pays nothing for it.
 """
 
 from __future__ import annotations
@@ -45,11 +42,12 @@ from ..interp.state import MemoryError_, bind_params, make_memory
 from ..ir.cfg import Function
 from ..ir.instructions import COMM_OPCODES, OpKind, Opcode
 from ..mtcg.program import MTProgram
+from ..trace.events import PRODUCER_CATEGORY
 from .cache import MemoryHierarchy
 from .config import DEFAULT_CONFIG, MachineConfig
 from .functional import DeadlockError, MTExecutionLimitExceeded
 from .timing import (SAPortSchedule, TimedQueues, TimedResult,
-                     queue_crossing_penalties, simulate_threads)
+                     queue_crossing_penalties)
 
 # Op-class codes of the compiled dispatch records.  Ordered roughly by
 # dynamic frequency so the dispatch chain tests the hot classes first.
@@ -70,6 +68,8 @@ _CONSUME_SYNC = 13
 
 #: Issue-port classes, by index: alu, memory, fp, branch.
 _PORT_ALU, _PORT_MEM, _PORT_FP, _PORT_BR = 0, 1, 2, 3
+#: The port names (trace ``op_class`` values), by index.
+_PORT_NAMES = ("alu", "memory", "fp", "branch")
 
 
 def _fdiv(a, b):
@@ -94,10 +94,10 @@ def _trap_undef(register: str, function_name: str):
 class _FastCore:
     """Array-backed in-order issue state of one core.
 
-    Field-for-field mirror of :class:`repro.machine.timing.CoreTiming`
-    minus the trace-only bookkeeping (the fast backend never traces);
-    ``port_use`` is a fixed 4-slot list indexed by port class instead of
-    a ``Counter`` keyed by port name.
+    Field-for-field mirror of the oracle's ``CoreTiming`` minus the
+    trace-only bookkeeping (see :class:`_TracedCore`); ``port_use`` is a
+    fixed 4-slot list indexed by port class instead of a ``Counter``
+    keyed by port name.
     """
 
     __slots__ = ("core_id", "sa", "cycle", "issued_in_cycle", "port_use",
@@ -121,6 +121,28 @@ class _FastCore:
         self.backpressure_cycles = 0.0
         self.operand_wait_cycles = 0.0
         self.sa_port_delays = 0
+
+
+class _TracedCore(_FastCore):
+    """A core plus the bookkeeping the trace sink threads dependence
+    edges through: the conflict cycles of the last issue, the last
+    event (in-order edge), a pending branch redirect (control edge),
+    and the events that set the memory-completion and fence times."""
+
+    __slots__ = ("port_delay", "sa_delay", "last_event_seq",
+                 "last_event_issue", "pending_control", "last_mem_event",
+                 "last_mem_kind", "fence_event")
+
+    def __init__(self, core_id: int, sa: SAPortSchedule):
+        super().__init__(core_id, sa)
+        self.port_delay = 0
+        self.sa_delay = 0
+        self.last_event_seq = None
+        self.last_event_issue = 0
+        self.pending_control = None
+        self.last_mem_event = None
+        self.last_mem_kind = "store"
+        self.fence_event = None
 
 
 def _issue(core, earliest, pidx, limit, issue_width):
@@ -176,7 +198,7 @@ def _issue_sa(core, earliest, limit, issue_width):
                 core.sa_port_delays += 1
                 t = free
                 continue
-            booked[t] = booked.get(t, 0) + 1
+            sa.book(t)
             core.issued_in_cycle += 1
             pu[_PORT_MEM] += 1
             core.min_issue = t
@@ -284,33 +306,31 @@ def compile_function(function: Function, config: MachineConfig):
     return blocks, meta, reg_index, reg_names
 
 
-def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
-                          memory_owner: Function,
-                          args: Optional[Mapping[str, object]] = None,
-                          initial_memory: Optional[
-                              Mapping[str, object]] = None,
-                          config: MachineConfig = DEFAULT_CONFIG,
-                          n_queues: int = 0,
-                          max_steps: int = 200_000_000,
-                          tracer=None,
-                          placement: Optional[Sequence[int]] = None,
-                          queue_crossing: Optional[Sequence[int]] = None
-                          ) -> TimedResult:
-    """Drop-in, bit-identical replacement for
-    :func:`repro.machine.timing.simulate_threads`.
+def simulate_threads(functions: Sequence[Function], exit_thread: int,
+                     memory_owner: Function,
+                     args: Optional[Mapping[str, object]] = None,
+                     initial_memory: Optional[Mapping[str, object]] = None,
+                     config: MachineConfig = DEFAULT_CONFIG,
+                     n_queues: int = 0,
+                     max_steps: int = 200_000_000,
+                     tracer=None,
+                     placement: Optional[Sequence[int]] = None,
+                     queue_crossing: Optional[Sequence[int]] = None
+                     ) -> TimedResult:
+    """Co-simulate ``functions`` (one per thread) functionally + in time.
 
-    With a ``tracer`` the reference implementation runs instead: trace
-    instrumentation is deeply interleaved with the reference loop and
-    duplicating it would double the equivalence surface for no timed-run
-    benefit (traced runs are diagnostics, not sweeps).
+    ``placement`` maps thread index to core id of the machine's
+    topology (identity when omitted); each core arbitrates for its own
+    cluster's synchronization-array ports, and ``queue_crossing`` adds
+    the per-queue inter-cluster latency for channels whose placed
+    endpoints sit in different clusters (zeros on any flat machine).
+
+    ``tracer`` (a :class:`repro.trace.TraceCollector`, or anything with
+    its ``on_event`` / ``on_queue_depth`` / ``on_finish`` hooks) selects
+    the traced loop, which emits one event per issued instruction with
+    its stall breakdown and dependence edges.  The simulated timings are
+    identical with and without a tracer.
     """
-    if tracer is not None:
-        return simulate_threads(functions, exit_thread, memory_owner, args,
-                                initial_memory, config, n_queues=n_queues,
-                                max_steps=max_steps, tracer=tracer,
-                                placement=placement,
-                                queue_crossing=queue_crossing)
-
     memory = make_memory(memory_owner, initial_memory)
     queues = TimedQueues(n_queues, config.sa_queue_size) if n_queues else None
     hierarchy = MemoryHierarchy(config)
@@ -338,6 +358,7 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     thread_names: List[list] = []   # register index -> name (for traps)
     thread_index: List[dict] = []   # register name -> index
     cores: List[_FastCore] = []
+    core_class = _FastCore if tracer is None else _TracedCore
     thread_blocks = []          # per thread: compiled block record lists
     thread_meta = []            # per thread: record index -> Instruction
     for index, function in enumerate(functions):
@@ -361,8 +382,10 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
             raise ValueError("thread %d placed on core %d outside "
                              "topology %r (%d cores)"
                              % (index, core_id, topo.name, topo.n_cores))
-        cores.append(_FastCore(core_id,
-                               cluster_ports[topo.cluster_of(core_id)]))
+        cores.append(core_class(core_id,
+                                cluster_ports[topo.cluster_of(core_id)]))
+    if tracer is not None and hasattr(tracer, "on_topology"):
+        tracer.on_topology(topo.cluster_map())
 
     mem_words = memory.words
     mem_size = memory.size
@@ -387,448 +410,484 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
     total_steps = 0
     prune_threshold = SAPortSchedule.PRUNE_THRESHOLD
 
-    while any(live):
-        if any(len(schedule.booked) > prune_threshold
-               for schedule in cluster_ports):
-            watermark = min(cores[i].min_issue
-                            for i in range(n) if live[i])
-            for schedule in cluster_ports:
-                schedule.prune(watermark)
-        progressed = False
-        for index in range(n):
-            if not live[index]:
-                continue
-            core = cores[index]
-            cid = core.core_id
-            l1 = l1_levels[index]
-            regs = thread_regs[index]
-            rr = thread_rr[index]
-            names = thread_names[index]
-            fname = functions[index].name
-            ccounts = counts[index]
-            recs = cur_recs[index]
-            pos = cur_idx[index]
-            executed = 0
-            # Local mirrors of the core's issue state: the inlined
-            # find-issue-slot logic below (the body of ``_issue``,
-            # repeated per op class) runs entirely on locals, written
-            # back once per burst.  ``_issue_sa`` still runs out of line
-            # — its call sites sync the mirrors around the call.
-            c_cycle = core.cycle
-            c_issued = core.issued_in_cycle
-            c_min_issue = core.min_issue
-            c_finish = core.finish
-            c_mem_fence = core.mem_fence
-            c_last_mem = core.last_mem_complete
-            pu = core.port_use
-            # Budget: a burst of instructions per thread per visit, as in
-            # the reference loop (keeps queue timestamps causal).
-            for _ in range(64):
-                rec = recs[pos]
-                code = rec[0]
-                if code == _ALU_RR:
-                    (_c, ridx, _i, fn, dest, s0, s1, pidx, limit,
-                     latency) = rec
-                    v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
-                    v1 = regs[s1]
-                    if v1 is _UNDEF:
-                        _trap_undef(names[s1], fname)
-                    regs[dest] = fn(v0, v1)
-                    e = rr[s0]
-                    e2 = rr[s1]
-                    if e2 > e:
-                        e = e2
-                    if e > c_min_issue:
-                        t = int(e)
-                        if e > t:
-                            t += 1
-                    else:
-                        t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[pidx] < limit:
-                            c_issued += 1
-                            pu[pidx] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    fin = t + latency
-                    rr[dest] = fin
-                    if fin > c_finish:
-                        c_finish = fin
-                    pos += 1
-                elif code == _ALU_RI:
-                    (_c, ridx, _i, fn, dest, s0, imm, pidx, limit,
-                     latency) = rec
-                    v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
-                    regs[dest] = fn(v0, imm)
-                    e = rr[s0]
-                    if e > c_min_issue:
-                        t = int(e)
-                        if e > t:
-                            t += 1
-                    else:
-                        t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[pidx] < limit:
-                            c_issued += 1
-                            pu[pidx] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    fin = t + latency
-                    rr[dest] = fin
-                    if fin > c_finish:
-                        c_finish = fin
-                    pos += 1
-                elif code == _ALU_UN:
-                    (_c, ridx, _i, fn, dest, s0, pidx, limit,
-                     latency) = rec
-                    v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
-                    regs[dest] = fn(v0)
-                    e = rr[s0]
-                    if e > c_min_issue:
-                        t = int(e)
-                        if e > t:
-                            t += 1
-                    else:
-                        t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[pidx] < limit:
-                            c_issued += 1
-                            pu[pidx] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    fin = t + latency
-                    rr[dest] = fin
-                    if fin > c_finish:
-                        c_finish = fin
-                    pos += 1
-                elif code == _MOVI:
-                    _c, ridx, _i, dest, imm, limit, latency = rec
-                    regs[dest] = imm
-                    t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[0] < limit:
-                            c_issued += 1
-                            pu[0] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    fin = t + latency
-                    rr[dest] = fin
-                    if fin > c_finish:
-                        c_finish = fin
-                    pos += 1
-                elif code == _LOAD:
-                    _c, ridx, _i, dest, s0, offset, limit = rec
-                    base = regs[s0]
-                    if base is _UNDEF:
-                        _trap_undef(names[s0], fname)
-                    address = base + offset
-                    if not isinstance(address, int):
-                        raise TrapError("non-integer address %r"
-                                        % (address,))
-                    if 0 <= address < mem_size:
-                        regs[dest] = mem_words[address]
-                    else:
-                        raise MemoryError_(
-                            "load from address %r (size %d)"
-                            % (address, mem_size))
-                    e = rr[s0]
-                    if c_mem_fence > e:
-                        e = c_mem_fence
-                    if e > c_min_issue:
-                        t = int(e)
-                        if e > t:
-                            t += 1
-                    else:
-                        t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[1] < limit:
-                            c_issued += 1
-                            pu[1] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    line = address * word_bytes // l1_line_bytes
-                    ways = l1.sets.get(line % l1_nsets)
-                    if ways is not None and line // l1_nsets in ways:
-                        ways.move_to_end(line // l1_nsets)
-                        l1.hits += 1
-                        hierarchy.last_level = "l1"
-                        latency = l1_hit_latency
-                    else:
-                        latency = access(cid, address, False)
-                    fin = t + latency
-                    rr[dest] = fin
-                    if fin > c_last_mem:
-                        c_last_mem = fin
-                    if fin > c_finish:
-                        c_finish = fin
-                    pos += 1
-                elif code == _STORE:
-                    _c, ridx, _i, s0, s1, offset, limit = rec
-                    base = regs[s0]
-                    if base is _UNDEF:
-                        _trap_undef(names[s0], fname)
-                    address = base + offset
-                    if not isinstance(address, int):
-                        raise TrapError("non-integer address %r"
-                                        % (address,))
-                    value = regs[s1]
-                    if value is _UNDEF:
-                        _trap_undef(names[s1], fname)
-                    if 0 <= address < mem_size:
-                        mem_words[address] = value
-                    else:
-                        raise MemoryError_(
-                            "store to address %r (size %d)"
-                            % (address, mem_size))
-                    e = rr[s0]
-                    e2 = rr[s1]
-                    if e2 > e:
-                        e = e2
-                    if c_mem_fence > e:
-                        e = c_mem_fence
-                    if e > c_min_issue:
-                        t = int(e)
-                        if e > t:
-                            t += 1
-                    else:
-                        t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[1] < limit:
-                            c_issued += 1
-                            pu[1] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    access(cid, address, True)
-                    tf = float(t + 1)
-                    if tf > c_last_mem:
-                        c_last_mem = tf
-                    ti = t + 1
-                    if ti > c_finish:
-                        c_finish = ti
-                    pos += 1
-                elif code == _BR:
-                    _c, ridx, _i, s0, iid, tk, nt, limit = rec
-                    v0 = regs[s0]
-                    if v0 is _UNDEF:
-                        _trap_undef(names[s0], fname)
-                    taken = bool(v0)
-                    e = rr[s0]
-                    if e > c_min_issue:
-                        t = int(e)
-                        if e > t:
-                            t += 1
-                    else:
-                        t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[3] < limit:
-                            c_issued += 1
-                            pu[3] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    if pred_mode == 0:
-                        penalty = taken_penalty if taken else 0
-                    elif pred_mode == 2:
-                        penalty = 0
-                    else:
-                        bc = core.branch_counters
-                        counter = bc.get(iid, 2)
-                        if taken:
-                            bc[iid] = counter + 1 if counter < 3 else 3
+    if tracer is not None:
+        _run_traced(tracer, functions, cores, thread_blocks, thread_meta,
+                    thread_regs, thread_rr, thread_names, counts, live,
+                    queues, hierarchy, cluster_ports, config, memory,
+                    queue_crossing, max_steps, memory_owner.name)
+    else:
+        while any(live):
+            if any(len(schedule.booked) > prune_threshold
+                   for schedule in cluster_ports):
+                watermark = min(cores[i].min_issue
+                                for i in range(n) if live[i])
+                for schedule in cluster_ports:
+                    schedule.prune(watermark)
+            progressed = False
+            for index in range(n):
+                if not live[index]:
+                    continue
+                core = cores[index]
+                cid = core.core_id
+                l1 = l1_levels[index]
+                regs = thread_regs[index]
+                rr = thread_rr[index]
+                names = thread_names[index]
+                fname = functions[index].name
+                ccounts = counts[index]
+                recs = cur_recs[index]
+                pos = cur_idx[index]
+                executed = 0
+                # Local mirrors of the core's issue state: the inlined
+                # find-issue-slot logic below (the body of ``_issue``,
+                # repeated per op class) runs entirely on locals, written
+                # back once per burst.  ``_issue_sa`` still runs out of line
+                # — its call sites sync the mirrors around the call.
+                c_cycle = core.cycle
+                c_issued = core.issued_in_cycle
+                c_min_issue = core.min_issue
+                c_finish = core.finish
+                c_mem_fence = core.mem_fence
+                c_last_mem = core.last_mem_complete
+                pu = core.port_use
+                # Budget: a burst of instructions per thread per visit, as in
+                # the reference loop (keeps queue timestamps causal).
+                for _ in range(64):
+                    rec = recs[pos]
+                    code = rec[0]
+                    if code == _ALU_RR:
+                        (_c, ridx, _i, fn, dest, s0, s1, pidx, limit,
+                         latency) = rec
+                        v0 = regs[s0]
+                        if v0 is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        v1 = regs[s1]
+                        if v1 is _UNDEF:
+                            _trap_undef(names[s1], fname)
+                        regs[dest] = fn(v0, v1)
+                        e = rr[s0]
+                        e2 = rr[s1]
+                        if e2 > e:
+                            e = e2
+                        if e > c_min_issue:
+                            t = int(e)
+                            if e > t:
+                                t += 1
                         else:
-                            bc[iid] = counter - 1 if counter > 0 else 0
-                        if (counter >= 2) == taken:
+                            t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[pidx] < limit:
+                                c_issued += 1
+                                pu[pidx] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        fin = t + latency
+                        rr[dest] = fin
+                        if fin > c_finish:
+                            c_finish = fin
+                        pos += 1
+                    elif code == _ALU_RI:
+                        (_c, ridx, _i, fn, dest, s0, imm, pidx, limit,
+                         latency) = rec
+                        v0 = regs[s0]
+                        if v0 is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        regs[dest] = fn(v0, imm)
+                        e = rr[s0]
+                        if e > c_min_issue:
+                            t = int(e)
+                            if e > t:
+                                t += 1
+                        else:
+                            t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[pidx] < limit:
+                                c_issued += 1
+                                pu[pidx] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        fin = t + latency
+                        rr[dest] = fin
+                        if fin > c_finish:
+                            c_finish = fin
+                        pos += 1
+                    elif code == _ALU_UN:
+                        (_c, ridx, _i, fn, dest, s0, pidx, limit,
+                         latency) = rec
+                        v0 = regs[s0]
+                        if v0 is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        regs[dest] = fn(v0)
+                        e = rr[s0]
+                        if e > c_min_issue:
+                            t = int(e)
+                            if e > t:
+                                t += 1
+                        else:
+                            t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[pidx] < limit:
+                                c_issued += 1
+                                pu[pidx] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        fin = t + latency
+                        rr[dest] = fin
+                        if fin > c_finish:
+                            c_finish = fin
+                        pos += 1
+                    elif code == _MOVI:
+                        _c, ridx, _i, dest, imm, limit, latency = rec
+                        regs[dest] = imm
+                        t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[0] < limit:
+                                c_issued += 1
+                                pu[0] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        fin = t + latency
+                        rr[dest] = fin
+                        if fin > c_finish:
+                            c_finish = fin
+                        pos += 1
+                    elif code == _LOAD:
+                        _c, ridx, _i, dest, s0, offset, limit = rec
+                        base = regs[s0]
+                        if base is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        address = base + offset
+                        if not isinstance(address, int):
+                            raise TrapError("non-integer address %r"
+                                            % (address,))
+                        if 0 <= address < mem_size:
+                            regs[dest] = mem_words[address]
+                        else:
+                            raise MemoryError_(
+                                "load from address %r (size %d)"
+                                % (address, mem_size))
+                        e = rr[s0]
+                        if c_mem_fence > e:
+                            e = c_mem_fence
+                        if e > c_min_issue:
+                            t = int(e)
+                            if e > t:
+                                t += 1
+                        else:
+                            t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[1] < limit:
+                                c_issued += 1
+                                pu[1] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        line = address * word_bytes // l1_line_bytes
+                        ways = l1.sets.get(line % l1_nsets)
+                        if ways is not None and line // l1_nsets in ways:
+                            ways.move_to_end(line // l1_nsets)
+                            l1.hits += 1
+                            hierarchy.last_level = "l1"
+                            latency = l1_hit_latency
+                        else:
+                            latency = access(cid, address, False)
+                        fin = t + latency
+                        rr[dest] = fin
+                        if fin > c_last_mem:
+                            c_last_mem = fin
+                        if fin > c_finish:
+                            c_finish = fin
+                        pos += 1
+                    elif code == _STORE:
+                        _c, ridx, _i, s0, s1, offset, limit = rec
+                        base = regs[s0]
+                        if base is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        address = base + offset
+                        if not isinstance(address, int):
+                            raise TrapError("non-integer address %r"
+                                            % (address,))
+                        value = regs[s1]
+                        if value is _UNDEF:
+                            _trap_undef(names[s1], fname)
+                        if 0 <= address < mem_size:
+                            mem_words[address] = value
+                        else:
+                            raise MemoryError_(
+                                "store to address %r (size %d)"
+                                % (address, mem_size))
+                        e = rr[s0]
+                        e2 = rr[s1]
+                        if e2 > e:
+                            e = e2
+                        if c_mem_fence > e:
+                            e = c_mem_fence
+                        if e > c_min_issue:
+                            t = int(e)
+                            if e > t:
+                                t += 1
+                        else:
+                            t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[1] < limit:
+                                c_issued += 1
+                                pu[1] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        access(cid, address, True)
+                        tf = float(t + 1)
+                        if tf > c_last_mem:
+                            c_last_mem = tf
+                        ti = t + 1
+                        if ti > c_finish:
+                            c_finish = ti
+                        pos += 1
+                    elif code == _BR:
+                        _c, ridx, _i, s0, iid, tk, nt, limit = rec
+                        v0 = regs[s0]
+                        if v0 is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        taken = bool(v0)
+                        e = rr[s0]
+                        if e > c_min_issue:
+                            t = int(e)
+                            if e > t:
+                                t += 1
+                        else:
+                            t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[3] < limit:
+                                c_issued += 1
+                                pu[3] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        if pred_mode == 0:
+                            penalty = taken_penalty if taken else 0
+                        elif pred_mode == 2:
                             penalty = 0
                         else:
-                            core.mispredictions += 1
-                            penalty = mispredict_penalty
-                    if penalty:
-                        c_min_issue = t + 1 + penalty
-                    ti = t + 1
-                    if ti > c_finish:
-                        c_finish = ti
-                    recs = thread_blocks[index][tk if taken else nt]
-                    pos = 0
-                elif code == _JMP:
-                    _c, ridx, _i, target, limit = rec
-                    t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[3] < limit:
-                            c_issued += 1
-                            pu[3] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    ti = t + 1
-                    if ti > c_finish:
-                        c_finish = ti
-                    recs = thread_blocks[index][target]
-                    pos = 0
-                elif code == _PRODUCE or code == _PRODUCE_SYNC:
-                    if code == _PRODUCE:
-                        _c, ridx, _i, s0, q, limit = rec
-                    else:
-                        _c, ridx, _i, q, limit = rec
-                        s0 = None
-                    if len(queues.queues[q]) >= qcap:
-                        break  # functionally full: retry after consumers
-                    slot_free = queues.slot_free_time(q)
-                    if s0 is not None:
-                        own_ready = rr[s0]
-                        value = regs[s0]
-                        if value is _UNDEF:
-                            _trap_undef(names[s0], fname)
-                    else:
-                        own_ready = c_last_mem
-                        value = 0
-                    mi_f = float(c_min_issue)
-                    if mi_f > own_ready:
-                        own_ready = mi_f
-                    if slot_free > own_ready:
-                        core.backpressure_cycles += slot_free - own_ready
-                        earliest = slot_free
-                    else:
-                        earliest = own_ready
-                    core.cycle = c_cycle
-                    core.issued_in_cycle = c_issued
-                    core.min_issue = c_min_issue
-                    core.finish = c_finish
-                    t = _issue_sa(core, earliest, limit, issue_width)
-                    c_cycle = core.cycle
-                    c_issued = core.issued_in_cycle
-                    c_min_issue = core.min_issue
-                    c_finish = core.finish
-                    queues.staged_push_time = float(t + 1)
-                    queues.try_push(q, value)
-                    ti = t + 1
-                    if ti > c_finish:
-                        c_finish = ti
-                    pos += 1
-                elif code == _CONSUME or code == _CONSUME_SYNC:
-                    if code == _CONSUME:
-                        _c, ridx, _i, dest, q, limit = rec
-                    else:
-                        _c, ridx, _i, q, limit = rec
-                        dest = None
-                    ok, value = queues.try_pop(q)
-                    if not ok:
-                        break  # queue empty: blocked
-                    if dest is not None:
-                        regs[dest] = value
-                    core.cycle = c_cycle
-                    core.issued_in_cycle = c_issued
-                    core.min_issue = c_min_issue
-                    core.finish = c_finish
-                    t = _issue_sa(core, 0.0, limit, issue_width)
-                    c_cycle = core.cycle
-                    c_issued = core.issued_in_cycle
-                    c_min_issue = core.min_issue
-                    c_finish = core.finish
-                    data_ready = queues.last_popped_time + sa_latency
-                    if queue_crossing is not None:
-                        data_ready += queue_crossing[q]
-                    ti = t + 1
-                    if data_ready > ti:
-                        core.operand_wait_cycles += data_ready - ti
-                        available = data_ready
-                    else:
-                        available = float(ti)
-                    if dest is not None:
-                        rr[dest] = available
-                    elif available > c_mem_fence:
-                        c_mem_fence = available
-                    queues.record_pop_completion(q, available, None)
-                    if available > c_finish:
-                        c_finish = available
-                    pos += 1
-                elif code == _EXIT:
-                    _c, ridx, _i, limit = rec
-                    t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[3] < limit:
-                            c_issued += 1
-                            pu[3] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    ti = t + 1
-                    if ti > c_finish:
-                        c_finish = ti
+                            bc = core.branch_counters
+                            counter = bc.get(iid, 2)
+                            if taken:
+                                bc[iid] = counter + 1 if counter < 3 else 3
+                            else:
+                                bc[iid] = counter - 1 if counter > 0 else 0
+                            if (counter >= 2) == taken:
+                                penalty = 0
+                            else:
+                                core.mispredictions += 1
+                                penalty = mispredict_penalty
+                        if penalty:
+                            c_min_issue = t + 1 + penalty
+                        ti = t + 1
+                        if ti > c_finish:
+                            c_finish = ti
+                        recs = thread_blocks[index][tk if taken else nt]
+                        pos = 0
+                    elif code == _JMP:
+                        _c, ridx, _i, target, limit = rec
+                        t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[3] < limit:
+                                c_issued += 1
+                                pu[3] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        ti = t + 1
+                        if ti > c_finish:
+                            c_finish = ti
+                        recs = thread_blocks[index][target]
+                        pos = 0
+                    elif code == _PRODUCE or code == _PRODUCE_SYNC:
+                        if code == _PRODUCE:
+                            _c, ridx, _i, s0, q, limit = rec
+                        else:
+                            _c, ridx, _i, q, limit = rec
+                            s0 = None
+                        if len(queues.queues[q]) >= qcap:
+                            break  # functionally full: retry after consumers
+                        slot_free = queues.slot_free_time(q)
+                        if s0 is not None:
+                            own_ready = rr[s0]
+                            value = regs[s0]
+                            if value is _UNDEF:
+                                _trap_undef(names[s0], fname)
+                        else:
+                            own_ready = c_last_mem
+                            value = 0
+                        mi_f = float(c_min_issue)
+                        if mi_f > own_ready:
+                            own_ready = mi_f
+                        if slot_free > own_ready:
+                            core.backpressure_cycles += slot_free - own_ready
+                            earliest = slot_free
+                        else:
+                            earliest = own_ready
+                        core.cycle = c_cycle
+                        core.issued_in_cycle = c_issued
+                        core.min_issue = c_min_issue
+                        core.finish = c_finish
+                        t = _issue_sa(core, earliest, limit, issue_width)
+                        c_cycle = core.cycle
+                        c_issued = core.issued_in_cycle
+                        c_min_issue = core.min_issue
+                        c_finish = core.finish
+                        queues.staged_push_time = float(t + 1)
+                        queues.try_push(q, value)
+                        ti = t + 1
+                        if ti > c_finish:
+                            c_finish = ti
+                        pos += 1
+                    elif code == _CONSUME or code == _CONSUME_SYNC:
+                        if code == _CONSUME:
+                            _c, ridx, _i, dest, q, limit = rec
+                        else:
+                            _c, ridx, _i, q, limit = rec
+                            dest = None
+                        ok, value = queues.try_pop(q)
+                        if not ok:
+                            break  # queue empty: blocked
+                        if dest is not None:
+                            regs[dest] = value
+                        core.cycle = c_cycle
+                        core.issued_in_cycle = c_issued
+                        core.min_issue = c_min_issue
+                        core.finish = c_finish
+                        t = _issue_sa(core, 0.0, limit, issue_width)
+                        c_cycle = core.cycle
+                        c_issued = core.issued_in_cycle
+                        c_min_issue = core.min_issue
+                        c_finish = core.finish
+                        data_ready = queues.last_popped_time + sa_latency
+                        if queue_crossing is not None:
+                            data_ready += queue_crossing[q]
+                        ti = t + 1
+                        if data_ready > ti:
+                            core.operand_wait_cycles += data_ready - ti
+                            available = data_ready
+                        else:
+                            available = float(ti)
+                        if dest is not None:
+                            rr[dest] = available
+                        elif available > c_mem_fence:
+                            c_mem_fence = available
+                        queues.record_pop_completion(q, available, None)
+                        if available > c_finish:
+                            c_finish = available
+                        pos += 1
+                    elif code == _EXIT:
+                        _c, ridx, _i, limit = rec
+                        t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[3] < limit:
+                                c_issued += 1
+                                pu[3] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        ti = t + 1
+                        if ti > c_finish:
+                            c_finish = ti
+                        ccounts[ridx] += 1
+                        executed += 1
+                        total_steps += 1
+                        if total_steps > max_steps:
+                            raise MTExecutionLimitExceeded(
+                                "%s exceeded %d steps"
+                                % (memory_owner.name, max_steps))
+                        live[index] = False
+                        break
+                    else:  # _NOP
+                        _c, ridx, _i, limit = rec
+                        t = c_min_issue
+                        while True:
+                            if t > c_cycle:
+                                c_cycle = t
+                                c_issued = 0
+                                pu[0] = pu[1] = pu[2] = pu[3] = 0
+                            if c_issued < issue_width and pu[0] < limit:
+                                c_issued += 1
+                                pu[0] += 1
+                                c_min_issue = t
+                                tf = t + 1.0
+                                if tf > c_finish:
+                                    c_finish = tf
+                                break
+                            t += 1
+                        ti = t + 1
+                        if ti > c_finish:
+                            c_finish = ti
+                        pos += 1
                     ccounts[ridx] += 1
                     executed += 1
                     total_steps += 1
@@ -836,50 +895,20 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
                         raise MTExecutionLimitExceeded(
                             "%s exceeded %d steps"
                             % (memory_owner.name, max_steps))
-                    live[index] = False
-                    break
-                else:  # _NOP
-                    _c, ridx, _i, limit = rec
-                    t = c_min_issue
-                    while True:
-                        if t > c_cycle:
-                            c_cycle = t
-                            c_issued = 0
-                            pu[0] = pu[1] = pu[2] = pu[3] = 0
-                        if c_issued < issue_width and pu[0] < limit:
-                            c_issued += 1
-                            pu[0] += 1
-                            c_min_issue = t
-                            tf = t + 1.0
-                            if tf > c_finish:
-                                c_finish = tf
-                            break
-                        t += 1
-                    ti = t + 1
-                    if ti > c_finish:
-                        c_finish = ti
-                    pos += 1
-                ccounts[ridx] += 1
-                executed += 1
-                total_steps += 1
-                if total_steps > max_steps:
-                    raise MTExecutionLimitExceeded(
-                        "%s exceeded %d steps"
-                        % (memory_owner.name, max_steps))
-            core.cycle = c_cycle
-            core.issued_in_cycle = c_issued
-            core.min_issue = c_min_issue
-            core.finish = c_finish
-            core.mem_fence = c_mem_fence
-            core.last_mem_complete = c_last_mem
-            cur_recs[index] = recs
-            cur_idx[index] = pos
-            if executed:
-                progressed = True
-        if not progressed and any(live):
-            blocked = [cur_recs[i][cur_idx[i]][2]
-                       for i in range(n) if live[i]]
-            raise DeadlockError("all live threads blocked: %s" % blocked)
+                core.cycle = c_cycle
+                core.issued_in_cycle = c_issued
+                core.min_issue = c_min_issue
+                core.finish = c_finish
+                core.mem_fence = c_mem_fence
+                core.last_mem_complete = c_last_mem
+                cur_recs[index] = recs
+                cur_idx[index] = pos
+                if executed:
+                    progressed = True
+            if not progressed and any(live):
+                blocked = [cur_recs[i][cur_idx[i]][2]
+                           for i in range(n) if live[i]]
+                raise DeadlockError("all live threads blocked: %s" % blocked)
 
     per_thread_instructions = [0] * n
     per_thread_communication = [0] * n
@@ -916,43 +945,448 @@ def simulate_threads_fast(functions: Sequence[Function], exit_thread: int,
         "sa_port_delays": sum(c.sa_port_delays for c in cores),
         "mispredictions": sum(c.mispredictions for c in cores),
     }
+    if tracer is not None:
+        tracer.on_finish(core_finish, hierarchy.stats(), comm_stats)
     return TimedResult(max(core_finish) if core_finish else 0.0,
                        core_finish, per_thread_instructions,
                        per_thread_communication, opcode_counts, live_outs,
                        memory, hierarchy.stats(), queues, comm_stats)
 
 
-def simulate_program_fast(program: MTProgram,
-                          args: Optional[Mapping[str, object]] = None,
-                          initial_memory: Optional[
-                              Mapping[str, object]] = None,
-                          config: MachineConfig = DEFAULT_CONFIG,
-                          max_steps: int = 200_000_000,
-                          tracer=None,
-                          placement=None) -> TimedResult:
-    """Fast-backend counterpart of
-    :func:`repro.machine.timing.simulate_program`."""
+def _issue_traced(core, earliest, pidx, limit, issue_width, uses_sa):
+    """``find_issue_slot`` that also records the cycles lost to width/
+    port limits and to SA port displacement (the ``port_conflict`` and
+    ``sa_port_contention`` stall components)."""
+    mi = core.min_issue
+    if earliest > mi:
+        t = int(earliest)
+        if earliest > t:
+            t += 1
+    else:
+        t = mi
+    port_delay = sa_delay = 0
+    pu = core.port_use
+    while True:
+        if t > core.cycle:
+            core.cycle = t
+            core.issued_in_cycle = 0
+            pu[0] = pu[1] = pu[2] = pu[3] = 0
+        if core.issued_in_cycle < issue_width and pu[pidx] < limit:
+            if uses_sa:
+                free = core.sa.next_free(t)
+                if free != t:
+                    core.sa_port_delays += 1
+                    sa_delay += free - t
+                    t = free
+                    continue
+                core.sa.book(t)
+            core.issued_in_cycle += 1
+            pu[pidx] += 1
+            core.min_issue = t
+            tf = t + 1.0
+            if tf > core.finish:
+                core.finish = tf
+            core.port_delay = port_delay
+            core.sa_delay = sa_delay
+            return t
+        port_delay += 1
+        t += 1
+
+
+def _operands(core, rr, sources, srcs, min_issue_before, use_fence):
+    """The issue constraint of an instruction's source registers (and
+    the memory fence, for loads and stores) plus its trace view:
+    ``(ready, raw stall components, register/memory edges)``.  Must run
+    before the instruction's own destination update."""
+    deps = []
+    ready = 0.0
+    kind = None
+    for r in srcs:
+        value = rr[r]
+        source = sources[r]
+        if source is not None and value > 0.0:
+            deps.append((source[0], "register", value))
+        if value > ready:
+            ready = value
+            kind = source[1] if source is not None else None
+    if use_fence and core.mem_fence > ready:
+        ready = core.mem_fence
+        kind = "fence"
+        if core.fence_event is not None:
+            deps.append((core.fence_event, "memory", core.mem_fence))
+    delay = ready - min_issue_before
+    if delay > 0.0:
+        category = ("sa_queue_empty" if kind == "fence"
+                    else PRODUCER_CATEGORY.get(kind, "operand_wait"))
+        return ready, {category: delay}, deps
+    return ready, {}, deps
+
+
+def _emit(tracer, core, thread, info, op_class, issue, complete, raw,
+          deps, queue=None, control_penalty=0.0, extra=None):
+    """Attach the common edges (in-order predecessor, pending control
+    redirect) and the issue-slot conflicts, and emit one event."""
+    if core.last_event_seq is not None:
+        deps.append((core.last_event_seq, "order",
+                     float(core.last_event_issue)))
+    if core.pending_control is not None:
+        deps.append((core.pending_control[0], "control",
+                     core.pending_control[1]))
+        core.pending_control = None
+    if core.port_delay:
+        raw["port_conflict"] = float(core.port_delay)
+    if core.sa_delay:
+        raw["sa_port_contention"] = float(core.sa_delay)
+    seq = tracer.on_event(
+        core.core_id, thread, info[0], info[1], op_class, issue, complete,
+        stall=raw, deps=tuple(deps), queue=queue,
+        control_penalty=control_penalty, extra=extra)
+    core.last_event_seq = seq
+    core.last_event_issue = issue
+    return seq
+
+
+def _run_traced(tracer, functions, cores, thread_blocks, thread_meta,
+                thread_regs, thread_rr, thread_names, counts, live, queues,
+                hierarchy, cluster_ports, config, memory, queue_crossing,
+                max_steps, owner_name) -> None:
+    """The simulation loop with the trace sink: the same records, burst
+    schedule and timing as the untraced loop of :func:`simulate_threads`,
+    plus one ``tracer.on_event`` per issued instruction and one
+    ``tracer.on_queue_depth`` per produce/consume.  Written for clarity
+    rather than speed (the tracer's own accounting dominates anyway)."""
+    n = len(functions)
+    issue_width = config.issue_width
+    pred_mode = 2 if config.branch_predictor == "perfect" else (
+        0 if config.branch_predictor == "static" else 1)
+    taken_penalty = config.taken_branch_penalty
+    mispredict_penalty = config.mispredict_penalty
+    sa_latency = config.resolve_topology().sa_access_latency
+    access = hierarchy.access
+    mem_words = memory.words
+    mem_size = memory.size
+    qcap = queues.capacity if queues is not None else 0
+    # Per thread: record index -> (iid, op name, source register
+    # indices); register index -> (producing event seq, producer kind).
+    thread_info = []
+    for meta, reg_names in zip(thread_meta, thread_names):
+        reg_index = {name: i for i, name in enumerate(reg_names)}
+        thread_info.append([(i.iid, i.op.name.lower(),
+                             tuple(reg_index[r] for r in i.srcs))
+                            for i in meta])
+    thread_sources = [[None] * len(rr) for rr in thread_rr]
+    cur_recs = [blocks[0] for blocks in thread_blocks]
+    cur_idx = [0] * n
+    total_steps = 0
+
+    while any(live):
+        if any(len(schedule.booked) > SAPortSchedule.PRUNE_THRESHOLD
+               for schedule in cluster_ports):
+            watermark = min(cores[i].min_issue
+                            for i in range(n) if live[i])
+            for schedule in cluster_ports:
+                schedule.prune(watermark)
+        progressed = False
+        for index in range(n):
+            if not live[index]:
+                continue
+            core = cores[index]
+            cid = core.core_id
+            regs = thread_regs[index]
+            rr = thread_rr[index]
+            sources = thread_sources[index]
+            names = thread_names[index]
+            fname = functions[index].name
+            infos = thread_info[index]
+            recs = cur_recs[index]
+            pos = cur_idx[index]
+            executed = 0
+            for _ in range(64):
+                rec = recs[pos]
+                code = rec[0]
+                ridx = rec[1]
+                info = infos[ridx]
+                mib = float(core.min_issue)
+                if code <= _MOVI:
+                    if code == _MOVI:
+                        _c, _r, _i, dest, imm, limit, latency = rec
+                        pidx = _PORT_ALU
+                        regs[dest] = imm
+                    else:
+                        fn, dest, s0 = rec[3], rec[4], rec[5]
+                        pidx, limit, latency = rec[-3:]
+                        v0 = regs[s0]
+                        if v0 is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        if code == _ALU_RR:
+                            v1 = regs[rec[6]]
+                            if v1 is _UNDEF:
+                                _trap_undef(names[rec[6]], fname)
+                            regs[dest] = fn(v0, v1)
+                        elif code == _ALU_RI:
+                            regs[dest] = fn(v0, rec[6])
+                        else:
+                            regs[dest] = fn(v0)
+                    ready, raw, deps = _operands(core, rr, sources,
+                                                 info[2], mib, False)
+                    t = _issue_traced(core, ready, pidx, limit,
+                                      issue_width, False)
+                    fin = t + latency
+                    sources[dest] = (_emit(
+                        tracer, core, index, info, _PORT_NAMES[pidx], t,
+                        fin, raw, deps), "alu")
+                    rr[dest] = fin
+                    if fin > core.finish:
+                        core.finish = fin
+                    pos += 1
+                elif code == _LOAD or code == _STORE:
+                    _c, _r, _i, r0, s0, offset, limit = rec
+                    base = regs[s0 if code == _LOAD else r0]
+                    if base is _UNDEF:
+                        _trap_undef(names[s0 if code == _LOAD else r0],
+                                    fname)
+                    address = base + offset
+                    if not isinstance(address, int):
+                        raise TrapError("non-integer address %r"
+                                        % (address,))
+                    if code == _LOAD:
+                        if not 0 <= address < mem_size:
+                            raise MemoryError_(
+                                "load from address %r (size %d)"
+                                % (address, mem_size))
+                        regs[r0] = mem_words[address]
+                    else:
+                        value = regs[s0]
+                        if value is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                        if not 0 <= address < mem_size:
+                            raise MemoryError_(
+                                "store to address %r (size %d)"
+                                % (address, mem_size))
+                        mem_words[address] = value
+                    ready, raw, deps = _operands(core, rr, sources,
+                                                 info[2], mib, True)
+                    t = _issue_traced(core, ready, _PORT_MEM, limit,
+                                      issue_width, False)
+                    if code == _LOAD:
+                        latency = access(cid, address, False)
+                        level = hierarchy.last_level
+                        fin = t + latency
+                        seq = _emit(tracer, core, index, info, "memory",
+                                    t, fin, raw, deps,
+                                    extra={"cache_level": level})
+                        sources[r0] = (seq, "load_" + level)
+                        if fin >= core.last_mem_complete:
+                            core.last_mem_event = seq
+                            core.last_mem_kind = "load_" + level
+                        if fin > core.last_mem_complete:
+                            core.last_mem_complete = fin
+                        rr[r0] = fin
+                    else:
+                        access(cid, address, True)
+                        fin = t + 1
+                        seq = _emit(tracer, core, index, info, "memory",
+                                    t, float(fin), raw, deps)
+                        if fin >= core.last_mem_complete:
+                            core.last_mem_event = seq
+                            core.last_mem_kind = "store"
+                        if fin > core.last_mem_complete:
+                            core.last_mem_complete = float(fin)
+                    if fin > core.finish:
+                        core.finish = fin
+                    pos += 1
+                elif code == _BR:
+                    _c, _r, _i, s0, iid, tk, nt, limit = rec
+                    v0 = regs[s0]
+                    if v0 is _UNDEF:
+                        _trap_undef(names[s0], fname)
+                    taken = bool(v0)
+                    ready, raw, deps = _operands(core, rr, sources,
+                                                 info[2], mib, False)
+                    t = _issue_traced(core, ready, _PORT_BR, limit,
+                                      issue_width, False)
+                    if pred_mode == 0:
+                        penalty = taken_penalty if taken else 0
+                    elif pred_mode == 2:
+                        penalty = 0
+                    else:
+                        counter = core.branch_counters.get(iid, 2)
+                        core.branch_counters[iid] = (
+                            min(3, counter + 1) if taken
+                            else max(0, counter - 1))
+                        if (counter >= 2) == taken:
+                            penalty = 0
+                        else:
+                            core.mispredictions += 1
+                            penalty = mispredict_penalty
+                    seq = _emit(tracer, core, index, info, "branch", t,
+                                float(t + 1), raw, deps,
+                                control_penalty=float(penalty))
+                    if penalty:
+                        core.pending_control = (seq,
+                                                float(t + 1 + penalty))
+                        core.min_issue = t + 1 + penalty
+                    if t + 1 > core.finish:
+                        core.finish = t + 1
+                    recs = thread_blocks[index][tk if taken else nt]
+                    pos = 0
+                elif code == _PRODUCE or code == _PRODUCE_SYNC:
+                    if code == _PRODUCE:
+                        _c, _r, _i, s0, q, limit = rec
+                    else:
+                        _c, _r, _i, q, limit = rec
+                        s0 = None
+                    if len(queues.queues[q]) >= qcap:
+                        break  # functionally full: retry after consumers
+                    slot_free = queues.slot_free_time(q)
+                    if s0 is not None:
+                        own_ready, raw, deps = _operands(
+                            core, rr, sources, info[2], mib, False)
+                    else:
+                        own_ready = core.last_mem_complete
+                        raw = {}
+                        deps = []
+                        if own_ready - mib > 0.0:
+                            raw[PRODUCER_CATEGORY.get(
+                                core.last_mem_kind,
+                                "operand_wait")] = own_ready - mib
+                        if core.last_mem_event is not None:
+                            deps.append((core.last_mem_event, "memory",
+                                         own_ready))
+                    if mib > own_ready:
+                        own_ready = mib
+                    earliest = own_ready
+                    if slot_free > own_ready:
+                        core.backpressure_cycles += slot_free - own_ready
+                        raw["sa_queue_full"] = slot_free - own_ready
+                        free_seq = queues.slot_free_seq(q)
+                        if free_seq is not None:
+                            deps.append((free_seq, "communication",
+                                         slot_free))
+                        earliest = slot_free
+                    t = _issue_traced(core, earliest, _PORT_MEM, limit,
+                                      issue_width, True)
+                    queues.staged_push_time = float(t + 1)
+                    queues.staged_push_seq = _emit(
+                        tracer, core, index, info, "comm", t,
+                        float(t + 1), raw, deps, queue=q)
+                    value = 0
+                    if s0 is not None:
+                        value = regs[s0]
+                        if value is _UNDEF:
+                            _trap_undef(names[s0], fname)
+                    queues.try_push(q, value)
+                    if t + 1 > core.finish:
+                        core.finish = t + 1
+                    tracer.on_queue_depth(q, float(t + 1),
+                                          len(queues.queues[q]))
+                    pos += 1
+                elif code == _CONSUME or code == _CONSUME_SYNC:
+                    if code == _CONSUME:
+                        _c, _r, _i, dest, q, limit = rec
+                    else:
+                        _c, _r, _i, q, limit = rec
+                        dest = None
+                    ok, value = queues.try_pop(q)
+                    if not ok:
+                        break  # queue empty: blocked
+                    if dest is not None:
+                        regs[dest] = value
+                    t = _issue_traced(core, 0.0, _PORT_MEM, limit,
+                                      issue_width, True)
+                    data_ready = queues.last_popped_time + sa_latency
+                    if queue_crossing is not None:
+                        data_ready += queue_crossing[q]
+                    raw = {}
+                    available = float(t + 1)
+                    if data_ready > t + 1:
+                        core.operand_wait_cycles += data_ready - (t + 1)
+                        raw["sa_queue_empty"] = data_ready - (t + 1)
+                        available = data_ready
+                    if dest is not None:
+                        rr[dest] = available
+                    elif available > core.mem_fence:
+                        core.mem_fence = available
+                    deps = []
+                    if queues.last_popped_seq is not None:
+                        deps.append((queues.last_popped_seq,
+                                     "communication", data_ready))
+                    seq = _emit(tracer, core, index, info, "comm", t,
+                                available, raw, deps, queue=q)
+                    if dest is not None:
+                        sources[dest] = (seq, "consume")
+                    else:
+                        core.fence_event = seq
+                    tracer.on_queue_depth(q, float(t + 1),
+                                          len(queues.queues[q]))
+                    queues.record_pop_completion(q, available, seq)
+                    if available > core.finish:
+                        core.finish = available
+                    pos += 1
+                else:  # _JMP, _EXIT, _NOP: no sources, no stall
+                    limit = rec[-1]
+                    pidx = _PORT_ALU if code == _NOP else _PORT_BR
+                    t = _issue_traced(core, 0.0, pidx, limit, issue_width,
+                                      False)
+                    _emit(tracer, core, index, info, _PORT_NAMES[pidx], t,
+                          float(t + 1), {}, [])
+                    if t + 1 > core.finish:
+                        core.finish = t + 1
+                    if code == _JMP:
+                        recs = thread_blocks[index][rec[3]]
+                        pos = 0
+                    else:
+                        pos += 1
+                counts[index][ridx] += 1
+                executed += 1
+                total_steps += 1
+                if total_steps > max_steps:
+                    raise MTExecutionLimitExceeded(
+                        "%s exceeded %d steps" % (owner_name, max_steps))
+                if code == _EXIT:
+                    live[index] = False
+                    break
+            cur_recs[index] = recs
+            cur_idx[index] = pos
+            if executed:
+                progressed = True
+        if not progressed and any(live):
+            blocked = [cur_recs[i][cur_idx[i]][2]
+                       for i in range(n) if live[i]]
+            raise DeadlockError("all live threads blocked: %s" % blocked)
+
+
+def simulate_program(program: MTProgram,
+                     args: Optional[Mapping[str, object]] = None,
+                     initial_memory: Optional[Mapping[str, object]] = None,
+                     config: MachineConfig = DEFAULT_CONFIG,
+                     max_steps: int = 200_000_000,
+                     tracer=None,
+                     placement=None) -> TimedResult:
+    """Timed simulation of MTCG output.  ``placement`` (a
+    :class:`~repro.machine.placement.Placement` or a raw thread->core
+    sequence) selects the cores; identity on a machine sized to the
+    thread count otherwise."""
     cores = getattr(placement, "cores", placement)
     if config.topology is None:
         config = config.with_cores(max(program.n_threads, 1))
-    return simulate_threads_fast(
-        program.threads, program.exit_thread, program.original, args,
-        initial_memory, config, n_queues=program.n_queues,
-        max_steps=max_steps, tracer=tracer, placement=cores,
-        queue_crossing=queue_crossing_penalties(program, config, cores))
+    return simulate_threads(program.threads, program.exit_thread,
+                            program.original, args, initial_memory, config,
+                            n_queues=program.n_queues, max_steps=max_steps,
+                            tracer=tracer, placement=cores,
+                            queue_crossing=queue_crossing_penalties(
+                                program, config, cores))
 
 
-def simulate_single_fast(function: Function,
-                         args: Optional[Mapping[str, object]] = None,
-                         initial_memory: Optional[
-                             Mapping[str, object]] = None,
-                         config: MachineConfig = DEFAULT_CONFIG,
-                         max_steps: int = 200_000_000,
-                         tracer=None) -> TimedResult:
-    """Fast-backend counterpart of
-    :func:`repro.machine.timing.simulate_single`."""
+def simulate_single(function: Function,
+                    args: Optional[Mapping[str, object]] = None,
+                    initial_memory: Optional[Mapping[str, object]] = None,
+                    config: MachineConfig = DEFAULT_CONFIG,
+                    max_steps: int = 200_000_000,
+                    tracer=None) -> TimedResult:
+    """Timed simulation of the original single-threaded code on one core."""
     if config.topology is None:
         config = config.with_cores(1)
-    return simulate_threads_fast([function], 0, function, args,
-                                 initial_memory, config, n_queues=0,
-                                 max_steps=max_steps, tracer=tracer)
+    return simulate_threads([function], 0, function, args, initial_memory,
+                            config, n_queues=0, max_steps=max_steps,
+                            tracer=tracer)

@@ -48,10 +48,6 @@ class QueueAllocation:
         self.n_physical = n_physical
         self.n_channels = n_channels
 
-    @property
-    def queues_saved(self) -> int:
-        return self.n_channels - self.n_physical
-
     def __repr__(self) -> str:  # pragma: no cover
         return "<QueueAllocation %d channels -> %d queues>" % (
             self.n_channels, self.n_physical)

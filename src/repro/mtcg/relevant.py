@@ -35,15 +35,6 @@ class RelevanceInfo:
         self.relevant_branches = relevant_branches
         self.relevant_blocks = relevant_blocks
 
-    def branch_relevant_to(self, thread: int, branch_block: str) -> bool:
-        return branch_block in self.relevant_branches.get(thread, set())
-
-    def is_relevant_point(self, thread: int, block_label: str) -> bool:
-        """Definition 2: a point is relevant iff every branch controlling it
-        is a relevant branch of the thread."""
-        controllers = self.cdg.transitive_controlling_branches(block_label)
-        return controllers <= self.relevant_branches.get(thread, set())
-
     def duplicated_branches(self, thread: int) -> List[str]:
         """Relevant branch blocks whose branch is assigned elsewhere."""
         result = []

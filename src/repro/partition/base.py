@@ -9,7 +9,7 @@ framework" structure of Figure 2 of the papers).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, Mapping
 
 from ..analysis.pdg import PDG
 from ..interp.profile import EdgeProfile
@@ -48,13 +48,6 @@ class Partition:
 
     def thread_of(self, iid: int) -> int:
         return self.assignment[iid]
-
-    def instructions_of(self, thread: int) -> List[int]:
-        return sorted(iid for iid, t in self.assignment.items()
-                      if t == thread)
-
-    def used_threads(self) -> List[int]:
-        return sorted(set(self.assignment.values()))
 
     def counts(self) -> Dict[int, int]:
         result = {thread: 0 for thread in range(self.n_threads)}

@@ -23,8 +23,7 @@ from ..analysis.pdg import PDG
 from ..coco.driver import CocoResult
 from ..interp.profile import EdgeProfile
 from ..ir.cfg import Function
-from ..machine.backend import DEFAULT_BACKEND, validate_backend
-from ..machine.config import MachineConfig
+from ..machine.config import DEFAULT_BACKEND, MachineConfig, validate_backend
 from ..machine.timing import TimedResult
 from ..mtcg.program import MTProgram
 from ..partition.base import Partition
@@ -270,10 +269,8 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
     ``placer`` chooses the thread->core placer ("identity"/"affinity").
     Both default to the flat legacy machine, which is cycle-invariant.
 
-    ``backend`` selects the simulator implementation ("reference" or
-    "fast", see :mod:`repro.machine.backend`).  Backends are
-    bit-identical by contract, so the choice never enters cache
-    fingerprints or request keys — it only trades host wall time.
+    ``backend`` is deprecated: it is validated against the old names
+    ("reference"/"fast") and otherwise ignored — there is one simulator.
 
     ``partitioner_args`` forwards tunable cost-model parameters (e.g.
     ``split_threshold``) to the technique's partitioner; they enter the
@@ -310,7 +307,6 @@ def evaluate_workload(workload: Workload, technique: str = "gremio",
             "trace": trace,
             "trace_limit": trace_limit,
             "placer": placer,
-            "backend": backend,
             "partitioner_args": dict(partitioner_args)
             if partitioner_args else None,
         },

@@ -25,8 +25,8 @@ import warnings
 from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
-from ..machine.backend import DEFAULT_BACKEND
-from ..machine.config import TUNABLE_MACHINE_FIELDS, MachineConfig
+from ..machine.config import (DEFAULT_BACKEND, TUNABLE_MACHINE_FIELDS,
+                              MachineConfig)
 from ..workloads import get_workload, workload_names
 from ..workloads.common import Workload
 from .cache import configure_cache, get_cache
@@ -120,13 +120,13 @@ def overrides_config(technique: str,
 class MatrixCell(NamedTuple):
     """One point of the evaluation matrix.
 
-    ``backend`` picks the simulator implementation; backends are
-    bit-identical, so it is not part of the cell's *identity* —
-    :meth:`identity` strips it, and request keys/baselines built from
-    it are backend-invariant.  ``overrides`` optionally carries
-    ``(knob, value)`` pairs (see :func:`validate_overrides`); it *is*
-    identity when non-empty, and the empty default keeps the identity
-    tuple byte-compatible with pre-override cells."""
+    ``backend`` is deprecated and ignored (there is one simulator); it
+    is not part of the cell's *identity* — :meth:`identity` strips it,
+    and request keys/baselines built from it are backend-invariant.
+    ``overrides`` optionally carries ``(knob, value)`` pairs (see
+    :func:`validate_overrides`); it *is* identity when non-empty, and
+    the empty default keeps the identity tuple byte-compatible with
+    pre-override cells."""
 
     workload: str
     technique: str = "gremio"

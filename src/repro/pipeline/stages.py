@@ -32,9 +32,8 @@ from ..interp.profile import static_profile
 from ..ir.cfg import Function
 from ..ir.interning import intern_program
 from ..ir.transforms import renumber_iids, split_critical_edges
-from ..machine.backend import (DEFAULT_BACKEND, simulate_program_fn,
-                               simulate_single_fn)
 from ..machine.config import DEFAULT_CONFIG, MachineConfig
+from ..machine.fast_timing import simulate_program, simulate_single
 from ..machine.placement import make_placement
 from ..mtcg.codegen import generate
 from ..partition.base import Partitioner
@@ -396,11 +395,6 @@ def _fp_simulate_st(ctx: PipelineContext) -> str:
 
 def _run_simulate_st(ctx: PipelineContext) -> dict:
     config = ctx.sim_config if ctx.sim_config is not None else ctx.config
-    # The backend is deliberately absent from the stage fingerprint:
-    # backends are bit-identical (tests/test_backend_equivalence.py), so
-    # reference and fast runs share one cache namespace.
-    simulate_single = simulate_single_fn(
-        ctx.options.get("backend", DEFAULT_BACKEND))
     result = simulate_single(ctx.function, ctx.options.get("measure_args"),
                              ctx.options.get("measure_memory"),
                              config=config)
@@ -427,8 +421,6 @@ def _fp_simulate_mt(ctx: PipelineContext) -> Optional[str]:
 
 def _run_simulate_mt(ctx: PipelineContext) -> dict:
     config = ctx.sim_config if ctx.sim_config is not None else ctx.config
-    simulate_program = simulate_program_fn(
-        ctx.options.get("backend", DEFAULT_BACKEND))
     if ctx.options.get("trace"):
         from ..trace import DEFAULT_EVENT_LIMIT, TraceCollector, analyze
         limit = ctx.options.get("trace_limit") or DEFAULT_EVENT_LIMIT

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..machine.backend import DEFAULT_BACKEND, validate_backend
+from ..machine.config import DEFAULT_BACKEND, validate_backend
 
 #: Roles ``repro serve`` can assume (see :mod:`repro.cluster`).
 ROLES = ("standalone", "coordinator", "worker")
@@ -46,9 +46,8 @@ class ServiceConfig:
     #: ``quiet=True`` drops request logs entirely (tests).
     log_stream: Optional[object] = None
     quiet: bool = False
-    #: Simulator backend applied to requests that do not name one
-    #: (see :mod:`repro.machine.backend`).  Backends are bit-identical,
-    #: so this changes host latency only — never results or memo keys.
+    #: Deprecated ``--backend``: validated, otherwise ignored (there is
+    #: one simulator; see :data:`repro.machine.config.BACKENDS`).
     backend: str = DEFAULT_BACKEND
     #: Test seam: replaces the evaluation callable in *inline* mode
     #: (process workers always run the real facade path).

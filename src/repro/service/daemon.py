@@ -72,6 +72,7 @@ class ServiceDaemon:
         self.log_event({"event": "serving", "address": self.address,
                         "port": self.port,
                         "workers": self.config.workers,
+                        "worker_pids": self.service.pool.worker_pids(),
                         "queue_limit": self.config.queue_limit,
                         "schema": API_SCHEMA_VERSION})
         try:
@@ -83,7 +84,11 @@ class ServiceDaemon:
         if self._closed:
             return
         self._closed = True
-        self.server.shutdown()
+        if self._thread is not None:
+            # Only a background loop needs stopping: serve_forever()
+            # on the calling thread has returned by now (and shutdown()
+            # would wait forever on a loop that never started).
+            self.server.shutdown()
         self.server.server_close()
         self.service.close()
         if self._thread is not None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import collections
 import os
 import queue as queue_module
+import signal
 import threading
 import time
 import warnings
@@ -75,6 +76,9 @@ _EVALUATE = _evaluate_request_dict
 
 def _worker_main(worker_id: int, inbox, outbox, cache_dir: str,
                  cache_enabled: bool) -> None:  # pragma: no cover - child
+    # A forked worker inherits the CLI's SIGTERM handler; the pool
+    # cancels a task by terminating its worker, which must just exit.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         item = inbox.get()
         if item is None:

@@ -1,7 +1,7 @@
 """``repro.trace`` — simulated-time execution tracing, stall
 attribution, and dynamic critical-path analysis.
 
-The timing simulator (:mod:`repro.machine.timing`) accepts an optional
+The timing simulator (:mod:`repro.machine.fast_timing`) accepts an optional
 ``tracer`` (a :class:`TraceCollector`); when provided it emits one
 :class:`~repro.trace.events.InstructionEvent` per dynamic instruction
 with a structured stall breakdown and the dependence edges that

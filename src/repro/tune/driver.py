@@ -5,7 +5,7 @@ knob space: it always scores the baseline candidates first (default
 GREMIO and default DSWP — the search can therefore never lose to them),
 then repeatedly asks the strategy for fixed-size generations of unseen
 candidates and scores them through the batched
-:func:`repro.api.evaluate_many` path on the fast backend.  The
+:func:`repro.api.evaluate_many` path.  The
 objective is total MT cycles; ties at the minimum are broken by traced
 critical-path length.
 
@@ -17,7 +17,7 @@ wall-clock data — so equal ``(seed, budget, knobs, workloads)`` yield
 byte-identical leaderboard JSON.
 
 Cost amortization: every scored candidate is memoized in the persistent
-artifact cache under its backend-invariant request key (stage
+artifact cache under its request key (stage
 ``tune-candidate``; traced tie-breaks under ``tune-trace``), so re-runs
 — and overlapping searches — skip straight to the verdict.
 """

@@ -1,28 +1,38 @@
-"""Differential equivalence of the fast simulator backend.
+"""Differential equivalence of the simulator and its oracle.
 
 The contract under test (see ``docs/performance.md``): for every
-program the fast backend (:mod:`repro.machine.fast_timing`) produces
-results **bit-identical** to the reference
-(:mod:`repro.machine.timing`) — cycles, per-core finish times, stall
-attributions, queue internals, live-outs, memory images, and the
-int-vs-float type of every number.  The grid is every registry workload
-x {paper-dual, quad-2x2} x {GREMIO, DSWP} x {trace off, trace on},
-plus the single-threaded simulator per workload, whole-pipeline
+program the simulator (:mod:`repro.machine.fast_timing`) produces
+results **bit-identical** to the reference model kept as its oracle
+(:mod:`repro.check.reference_timing`) — cycles, per-core finish times,
+stall attributions, queue internals, live-outs, memory images, and the
+int-vs-float type of every number — and, with a tracer attached, the
+same trace: every event byte for byte, the queue-depth samples, the
+topology and finish hooks, and the ``analyze()`` report.  The grid is
+every registry workload x {paper-dual, quad-2x2} x {GREMIO, DSWP} x
+{trace off, trace on}, plus affinity placement, the hierarchical
+octa-hier machine and COCO under tracing, a truncated event ring, the
+single-threaded simulator per workload, whole-pipeline
 ``Evaluation.metrics()`` parity, and seeded random programs from
 :mod:`repro.check.generate`.
 """
 
 import pytest
 
+from repro import machine
 from repro.api import configure_cache, evaluate_workload, get_cache, \
     get_workload, workload_names
-from repro.check.differential_backend import (diff_snapshots,
+from repro.check import reference_timing
+from repro.check.differential_backend import (IMPLEMENTATIONS,
+                                              TRACED_CASES,
+                                              TRUNCATED_TRACE_LIMIT,
+                                              diff_snapshots,
                                               run_fuzz_case,
+                                              run_workload_case,
                                               snapshot_result,
                                               snapshot_trace)
-from repro.machine.backend import (simulate_program_fn,
-                                   simulate_single_fn)
+from repro.pipeline import stages
 from repro.pipeline.core import parallelize
+from repro.trace import TraceCollector
 
 #: (topology preset, threads that fill it).
 TOPOLOGIES = (("paper-dual", 2), ("quad-2x2", 4))
@@ -33,7 +43,7 @@ _BUILDS = {}
 
 def _built(name, technique, topology, n_threads):
     """One parallelization per grid point, shared by the trace-on and
-    trace-off cases (the build side is backend-agnostic)."""
+    trace-off cases (the build side does not simulate)."""
     key = (name, technique, topology, n_threads)
     if key not in _BUILDS:
         workload = get_workload(name)
@@ -55,10 +65,9 @@ def _assert_identical(reference_snap, fast_snap, label):
 def test_single_threaded_bit_identical(name):
     workload = get_workload(name)
     inputs = workload.make_inputs("train")
-    reference = simulate_single_fn("reference")(
-        workload.build(), inputs.args, inputs.memory)
-    fast = simulate_single_fn("fast")(
-        workload.build(), inputs.args, inputs.memory)
+    reference, fast = (
+        impl.simulate_single(workload.build(), inputs.args, inputs.memory)
+        for impl in IMPLEMENTATIONS)
     _assert_identical(snapshot_result(reference), snapshot_result(fast),
                       "%s/st" % name)
 
@@ -70,10 +79,10 @@ def test_multi_threaded_bit_identical(name, technique, topology,
                                       n_threads):
     built = _built(name, technique, topology, n_threads)
     inputs = get_workload(name).make_inputs("train")
-    reference = simulate_program_fn("reference")(
-        built.program, inputs.args, inputs.memory, config=built.config)
-    fast = simulate_program_fn("fast")(
-        built.program, inputs.args, inputs.memory, config=built.config)
+    reference, fast = (
+        impl.simulate_program(built.program, inputs.args, inputs.memory,
+                              config=built.config)
+        for impl in IMPLEMENTATIONS)
     ref_snap = snapshot_result(reference)
     fast_snap = snapshot_result(fast)
     _assert_identical(ref_snap, fast_snap,
@@ -89,33 +98,72 @@ def test_multi_threaded_bit_identical(name, technique, topology,
 @pytest.mark.parametrize("technique", TECHNIQUES)
 @pytest.mark.parametrize("name", workload_names())
 def test_traced_runs_bit_identical(name, technique, topology, n_threads):
-    """With a tracer attached the fast backend delegates to the
-    reference, so event streams and stall tables are identical — this
-    pins the delegation (a fast-path trace reimplementation would have
-    to reproduce the whole stream to pass)."""
-    from repro.trace import TraceCollector
+    """The simulator's trace sink emits exactly the oracle's trace:
+    every event (stall components, dependence edges, cache levels),
+    every queue-depth sample, the topology and finish hooks, and the
+    analyze() report — and tracing leaves the results unchanged."""
     built = _built(name, technique, topology, n_threads)
     inputs = get_workload(name).make_inputs("train")
     snapshots = []
-    for backend in ("reference", "fast"):
+    for impl in IMPLEMENTATIONS:
         collector = TraceCollector()
-        result = simulate_program_fn(backend)(
+        result = impl.simulate_program(
             built.program, inputs.args, inputs.memory,
             config=built.config, tracer=collector)
         snapshots.append((snapshot_result(result),
                           snapshot_trace(collector)))
+    untraced = machine.simulate_program(built.program, inputs.args,
+                                        inputs.memory, config=built.config)
+    label = "%s/%s/%s" % (name, technique, topology)
     _assert_identical(snapshots[0][0], snapshots[1][0],
-                      "%s/%s/%s/trace-result" % (name, technique,
-                                                 topology))
+                      label + "/trace-result")
     _assert_identical(snapshots[0][1], snapshots[1][1],
-                      "%s/%s/%s/trace-events" % (name, technique,
-                                                 topology))
+                      label + "/trace-events")
+    _assert_identical(snapshots[1][0], snapshot_result(untraced),
+                      label + "/traced-vs-untraced")
+
+
+#: Workloads of the placement/COCO/truncation traced cases (a control-
+#: heavy, a streaming and a floating-point kernel keep the grid small).
+TRACED_WORKLOADS = ("ks", "adpcmdec", "183.equake")
+
+
+@pytest.mark.parametrize("coco", (False, True), ids=("nococo", "coco"))
+@pytest.mark.parametrize("technique,topology,n_threads,placer",
+                         TRACED_CASES,
+                         ids=["-".join(map(str, case))
+                              for case in TRACED_CASES])
+@pytest.mark.parametrize("name", TRACED_WORKLOADS)
+def test_traced_placement_and_coco_bit_identical(name, technique, topology,
+                                                 n_threads, placer, coco):
+    case = run_workload_case(name, technique=technique, topology=topology,
+                             n_threads=n_threads, trace=True,
+                             placer=placer, coco=coco)
+    assert case.ok, "%s diverged:\n%s" % (
+        case.label, "\n".join(case.divergences[:10]))
+
+
+@pytest.mark.parametrize("name", TRACED_WORKLOADS)
+def test_truncated_trace_ring_bit_identical(name):
+    """A ring smaller than the run evicts events: both implementations
+    keep the same newest window and count the same drops."""
+    case = run_workload_case(name, technique="gremio", trace=True,
+                             trace_limit=TRUNCATED_TRACE_LIMIT)
+    assert case.ok, "%s diverged:\n%s" % (
+        case.label, "\n".join(case.divergences[:10]))
+    workload = get_workload(name)
+    inputs = workload.make_inputs("train")
+    collector = TraceCollector(limit=TRUNCATED_TRACE_LIMIT)
+    machine.simulate_single(workload.build(), inputs.args, inputs.memory,
+                            tracer=collector)
+    assert collector.events.dropped > 0  # the ring really truncates
 
 
 class TestEvaluationMetrics:
-    """Whole-pipeline parity: evaluate_workload under both backends
-    (cache disabled, so the fast run cannot replay reference artifacts)
-    yields bit-identical Evaluation.metrics()."""
+    """Whole-pipeline parity: evaluate_workload with the simulate
+    stages running the simulator, then the oracle (cache disabled, so
+    the second run cannot replay the first's artifacts), yields
+    bit-identical Evaluation.metrics()."""
 
     @pytest.fixture(autouse=True)
     def _no_cache(self):
@@ -130,13 +178,18 @@ class TestEvaluationMetrics:
         ("mpeg2enc", "gremio", None, 2),
     ])
     def test_metrics_bit_identical(self, name, technique, topology,
-                                   n_threads):
-        evaluations = [
-            evaluate_workload(get_workload(name), technique=technique,
-                              n_threads=n_threads, scale="train",
-                              topology=topology, backend=backend)
-            for backend in ("reference", "fast")]
-        reference, fast = evaluations
+                                   n_threads, monkeypatch):
+        def evaluate():
+            return evaluate_workload(get_workload(name),
+                                     technique=technique,
+                                     n_threads=n_threads, scale="train",
+                                     topology=topology)
+        fast = evaluate()
+        monkeypatch.setattr(stages, "simulate_program",
+                            reference_timing.simulate_program)
+        monkeypatch.setattr(stages, "simulate_single",
+                            reference_timing.simulate_single)
+        reference = evaluate()
         assert reference.metrics() == fast.metrics()
         # Bit-identity includes types: speedup reprs match exactly.
         assert repr(reference.speedup) == repr(fast.speedup)
@@ -148,8 +201,9 @@ class TestEvaluationMetrics:
 @pytest.mark.parametrize("seed", range(25))
 def test_fuzz_programs_bit_identical(seed):
     """Seeded random programs (repro.check.generate): single-threaded
-    plus a random-partition MTCG program per seed, both backends —
-    including identical trap type and message when the program traps."""
+    plus a random-partition MTCG program per seed, oracle and
+    simulator — including identical trap type and message when the
+    program traps."""
     case = run_fuzz_case(seed)
     assert case.ok, "fuzz seed %d diverged:\n%s" % (
         seed, "\n".join(case.divergences[:10]))

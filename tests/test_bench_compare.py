@@ -6,7 +6,8 @@ import pytest
 
 from repro.bench import (BenchResults, Comparison, Metric, SchemaError,
                         SpecResult, compare)
-from repro.bench.compare import INFO, MISSING, NEW, OK, REGRESSION, SAME
+from repro.bench.compare import (INFO, MISSING, NEW, OK, REGRESSION, SAME,
+                                 UNBASELINED)
 
 
 def make_doc(metrics, mode="smoke", spec_id="spec", schema=None):
@@ -130,6 +131,17 @@ class TestMetricVerdicts:
                              make_doc({"fresh": Metric(1.0)}))
         assert comparison.ok
         assert one_delta(comparison).status == NEW
+
+    def test_spec_without_baseline_entries_gates(self):
+        """A spec absent from the baseline would otherwise compare as
+        "new" forever and never gate."""
+        comparison = compare(make_doc({"m": Metric(1.0)}, spec_id="old"),
+                             make_doc({"m": Metric(1.0)}, spec_id="fresh"))
+        assert not comparison.ok
+        statuses = {(delta.spec_id, delta.status)
+                    for delta in comparison.deltas}
+        assert statuses == {("old", MISSING), ("fresh", UNBASELINED)}
+        assert "no baseline" in comparison.markdown_table()
 
 
 class TestDocumentCompatibility:

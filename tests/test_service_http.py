@@ -6,6 +6,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -13,6 +17,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.api import (API_SCHEMA_VERSION, configure_cache,
                        evaluate_workload, get_cache)
 from repro.service import ServiceConfig, ServiceDaemon
@@ -164,3 +169,56 @@ class TestServeEndToEnd:
         assert record["status"] == 200
         assert record["request_key"]
         assert "queue_depth" in record and "in_flight" in record
+
+
+def _alive(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper does
+    not count: it has exited)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(os.name != "posix",
+                    reason="needs POSIX signals")
+def test_sigterm_stops_the_worker_pool(tmp_path):
+    """``kill -TERM`` on ``repro serve`` shuts down like Ctrl-C: every
+    pool worker the daemon logged at start-up exits with it."""
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    source_root = os.path.dirname(
+        os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = source_root + os.pathsep + env.get("PYTHONPATH",
+                                                           "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env=env)
+    try:
+        serving = None
+        for line in process.stderr:
+            record = json.loads(line)
+            if record.get("event") == "serving":
+                serving = record
+                break
+        assert serving is not None, "daemon never logged 'serving'"
+        pids = serving["worker_pids"]
+        assert len(pids) == 1 and _alive(pids[0])
+        process.send_signal(signal.SIGTERM)
+        process.wait(10)
+        deadline = time.time() + 5.0
+        while any(_alive(pid) for pid in pids) and time.time() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in pids), \
+            "worker processes outlived the daemon: %s" % pids
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(10)
+        process.stderr.close()

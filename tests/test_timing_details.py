@@ -5,7 +5,8 @@ import dataclasses
 
 from repro.ir import Opcode
 from repro.machine import DEFAULT_CONFIG, simulate_single
-from repro.machine.timing import CoreTiming, SAPortSchedule
+from repro.check.reference_timing import CoreTiming
+from repro.machine.timing import SAPortSchedule
 from repro.ir import FunctionBuilder
 
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""CI gate for the fast simulator backend (the ``backend-equivalence``
-job): run the differential sweep of
-:mod:`repro.check.differential_backend` — every workload x topology
-preset x partitioner (plus single-threaded and traced runs) and N
-seeded fuzz programs — on both backends and require **zero**
-divergences.  Results must be bit-identical down to numeric types; any
-difference fails the job and the full machine-readable divergence
-report is written to ``--report`` for upload as a CI artifact.
+"""CI gate for the simulator (the ``backend-equivalence`` job): run the
+differential sweep of :mod:`repro.check.differential_backend` — every
+workload x topology preset x partitioner (plus single-threaded and
+traced runs) and N seeded fuzz programs — on the product simulator and
+on its oracle (:mod:`repro.check.reference_timing`), and require
+**zero** divergences.  Results and trace event streams must be
+bit-identical down to numeric types; any difference fails the job and
+the full machine-readable divergence report is written to ``--report``
+for upload as a CI artifact.
 
 Usage: PYTHONPATH=src python tools/check_backend_equivalence.py \
            [--fuzz-seeds 25] [--scale train] [--trace] \
@@ -33,8 +34,10 @@ def main() -> int:
                              "%(default)s; ref is the full-methodology "
                              "sweep)")
     parser.add_argument("--trace", action="store_true",
-                        help="also compare traced runs (event streams "
-                             "and stall tables)")
+                        help="also compare traced runs (event streams, "
+                             "queue samples and analyze() reports), incl. "
+                             "affinity placement, COCO and a truncated "
+                             "event ring")
     parser.add_argument("--report", default="backend_divergences.json",
                         metavar="PATH",
                         help="where to write the JSON report "
